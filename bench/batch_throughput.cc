@@ -8,10 +8,11 @@
  *
  * A second table sweeps workers (1/2/4/8/16) x lane width
  * (scalar/x8/x16) x batching mode: "within" caps the coalescing
- * group at one job (each signature batches only its own hash work,
- * the pre-LaneScheduler behaviour) while "cross" lets workers
- * coalesce queued signatures into lockstep lane groups. The cross
- * rows are the sign-side counterpart of the verifier's
+ * group at one job (each signature signs as a LaneScheduler group of
+ * one and batches only its own hash work: its k FORS trees fill the
+ * lanes, its narrow hypertree layers do not) while "cross" lets
+ * workers coalesce queued signatures into lockstep lane groups. The
+ * cross rows are the sign-side counterpart of the verifier's
  * across-signature lane fill.
  *
  *   $ ./batch_throughput [--csv] [--json F] [--msgs N] [--set NAME]

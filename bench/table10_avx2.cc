@@ -12,10 +12,12 @@
  * A second table scales worker threads (1/2/4/8/16) at each lane
  * width through the BatchSigner's cross-signature lane scheduler —
  * the row to hold against the paper's 16-thread AVX2 line
- * (0.828/0.560/0.356 KOPS). On a host with fewer cores the thread
- * rows flatten; the lane-width split remains.
+ * (0.828/0.560/0.356 KOPS). Each row signs preferredGroup() x threads
+ * x 2 messages, two full lane groups per worker. On a host with fewer
+ * cores the thread rows flatten; the lane-width split remains.
  *
- * Flags: --iters N (signatures per measurement, default 3), --csv,
+ * Flags: --iters N (signatures per single-thread measurement,
+ * default 3), --csv,
  * --json <path> (the machine-readable record the BENCH_*.json trend
  * snapshots and scripts/bench_trend.py consume).
  */
@@ -24,6 +26,7 @@
 #include <thread>
 
 #include "batch/batch_signer.hh"
+#include "batch/lane_scheduler.hh"
 #include "bench_util.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
@@ -37,13 +40,22 @@ using sphincs::SphincsPlus;
 namespace
 {
 
-/** KOPS of a threaded cross-signature BatchSigner run. */
+/**
+ * KOPS of a threaded cross-signature BatchSigner run. The batch holds
+ * two full coalescing groups per worker, so every worker gets work;
+ * a single group would land on one worker and leave the rest idle.
+ */
 double
 measureThreadedKops(const Params &p, bool force_scalar, bool no_avx512,
-                    unsigned workers, unsigned msgs)
+                    unsigned workers)
 {
     using batch::BatchSigner;
     using batch::BatchSignerConfig;
+
+    sha256LanesForceScalar(force_scalar);
+    sha256LanesDisableAvx512(no_avx512);
+    const unsigned msgs =
+        batch::LaneScheduler::preferredGroup() * workers * 2;
 
     sphincs::SphincsPlus scheme(p);
     Rng rng(1);
@@ -53,8 +65,6 @@ measureThreadedKops(const Params &p, bool force_scalar, bool no_avx512,
     for (unsigned i = 0; i < msgs; ++i)
         batch.push_back(rng.bytes(64));
 
-    sha256LanesForceScalar(force_scalar);
-    sha256LanesDisableAvx512(no_avx512);
     BatchSignerConfig cfg;
     cfg.workers = workers;
     cfg.shards = 4;
@@ -185,7 +195,6 @@ main(int argc, char **argv)
     if (have_avx512)
         backends.push_back({"x16 AVX-512", false, false});
 
-    const unsigned msgs = o.iters ? o.iters * 4 : 16;
     TextTable ts({"Configuration", "128f KOPS", "192f KOPS",
                   "256f KOPS"});
     ts.addRow({"AVX2 16 threads (paper)", fmtF(lit[0].threads16, 3),
@@ -195,8 +204,7 @@ main(int argc, char **argv)
             double kops[3];
             for (int i = 0; i < 3; ++i)
                 kops[i] = measureThreadedKops(*sets[i], b.forceScalar,
-                                              b.noAvx512, threads,
-                                              msgs);
+                                              b.noAvx512, threads);
             ts.addRow({std::string(b.name) + ", " +
                            std::to_string(threads) +
                            (threads == 1 ? " thread" : " threads"),

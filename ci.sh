@@ -41,6 +41,11 @@
 #                                        # the mini parameter set and
 #                                        # assert the persisted profile
 #                                        # loads back (TUNE_SECONDS=N)
+#   PERFBENCH_SMOKE=1 ./ci.sh            # build only the serving
+#                                        # benchmark (Release), then run
+#                                        # each BENCHMARK.json workload
+#                                        # briefly and traced; fails on
+#                                        # any nonzero exit
 #   ./ci.sh --format-check               # clang-format gate only
 set -euo pipefail
 
@@ -82,6 +87,27 @@ CTEST_REGEX=${CTEST_REGEX:-}
 FAULT_MATRIX=${FAULT_MATRIX:-}
 METRICS_SOAK=${METRICS_SOAK:-}
 TUNE_SMOKE=${TUNE_SMOKE:-}
+PERFBENCH_SMOKE=${PERFBENCH_SMOKE:-}
+
+if [[ -n "$PERFBENCH_SMOKE" ]]; then
+    # perfbench builds its own Release tree. Every run verifies each
+    # signature and verdict, and a traced run byte-compares its
+    # layer-by-layer re-signs with the service's output, so every
+    # signing path is checked through the public API. Six seconds
+    # gives mixed-192f enough requests for its submit p99, which needs
+    # ten samples beyond it.
+    mapfile -t WORKLOADS < <(python3 -c '
+import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]:
+    print(w["name"])')
+    for w in "${WORKLOADS[@]}"; do
+        echo "ci.sh: perfbench smoke: $w"
+        python3 perfbench/run.py --workload "$w" --seed 1 --seconds 6 \
+            --trace 1
+    done
+    echo "ci.sh: perfbench smoke passed (${#WORKLOADS[@]} workloads)"
+    exit 0
+fi
 
 # Sanitized and portable-only builds get their own trees so neither
 # cache clobbers (or masquerades as) the plain tier-1 build.

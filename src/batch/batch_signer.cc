@@ -284,30 +284,13 @@ BatchSigner::signGroup(Worker &w, SignJob *const jobs[],
         tel_.stamp(jobs[i]->trace, telemetry::Stage::GroupFormed);
     tel_.recordGroup(telemetry::Plane::Sign, count, laneGroup_);
 
-    if (count == 1) {
-        // Within-signature path: lanes fill only inside this one
-        // signature's trees. This is also the honest baseline the
-        // cross-signature bench mode compares against.
-        SignJob &job = *jobs[0];
-        try {
-            tel_.stamp(job.trace, telemetry::Stage::CryptoStart);
-            ByteVec sig = scheme_.sign(ctx_, job.req.message, *sk_,
-                                       job.req.optRand);
-            tel_.stamp(job.trace, telemetry::Stage::CryptoEnd);
-            if (verifyAfterSign_)
-                sig = guardSignature(std::move(sig), job);
-            tel_.stamp(job.trace, telemetry::Stage::GuardEnd);
-            finishJob(w, job, std::move(sig));
-        } catch (...) {
-            failJob(job, std::current_exception());
-        }
-        return;
-    }
-
-    // Cross-signature path: run the whole group in lockstep, hash
-    // lanes filled across signatures. Task construction (prfMsg +
-    // digest) can throw per job; a failed member is dropped from the
-    // group and the survivors still sign together.
+    // Run the whole group through the LaneScheduler, hash lanes
+    // filled across its signatures; a group of one fills them with
+    // its own FORS trees. Task construction (prfMsg + digest) can
+    // throw per job; a failed member is dropped from the group and
+    // the survivors still sign together.
+    for (unsigned i = 0; i < count; ++i)
+        tel_.stamp(jobs[i]->trace, telemetry::Stage::CryptoStart);
     std::unique_ptr<SignTask> tasks[LaneScheduler::maxGroup];
     SignTask *ptrs[LaneScheduler::maxGroup];
     unsigned live[LaneScheduler::maxGroup];
@@ -326,9 +309,6 @@ BatchSigner::signGroup(Worker &w, SignJob *const jobs[],
     }
     if (nlive == 0)
         return;
-    for (unsigned i = 0; i < nlive; ++i)
-        tel_.stamp(jobs[live[i]]->trace,
-                   telemetry::Stage::CryptoStart);
     bool ran = false;
     try {
         LaneScheduler::run(ptrs, nlive);
@@ -342,8 +322,11 @@ BatchSigner::signGroup(Worker &w, SignJob *const jobs[],
         return;
     for (unsigned i = 0; i < nlive; ++i)
         tel_.stamp(jobs[live[i]]->trace, telemetry::Stage::CryptoEnd);
-    laneGroups_.fetch_add(1, std::memory_order_relaxed);
-    crossSignJobs_.fetch_add(nlive, std::memory_order_relaxed);
+    if (count > 1) {
+        // Coalescing stats count cross-signature groups only.
+        laneGroups_.fetch_add(1, std::memory_order_relaxed);
+        crossSignJobs_.fetch_add(nlive, std::memory_order_relaxed);
+    }
     for (unsigned i = 0; i < nlive; ++i) {
         SignJob &job = *jobs[live[i]];
         try {

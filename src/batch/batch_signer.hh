@@ -15,10 +15,11 @@
  * blocking pop plus non-blocking pops up to the configured laneGroup,
  * signed in lockstep by the batch::LaneScheduler so SIMD hash lanes
  * fill across signatures even on parameter shapes whose per-signature
- * trees are narrower than the lane width. A group of one falls back
- * to the within-signature path. Signatures are byte-identical to the
- * scalar sphincs::SphincsPlus path regardless of worker count, group
- * size or scheduling order.
+ * trees are narrower than the lane width. A lone job signs through
+ * the same scheduler as a group of one, where its own k FORS trees
+ * fill the lanes. Signatures are byte-identical to the scalar
+ * sphincs::SphincsPlus path regardless of worker count, group size or
+ * scheduling order.
  */
 
 #ifndef HEROSIGN_BATCH_BATCH_SIGNER_HH
@@ -58,8 +59,9 @@ struct BatchSignerConfig
     /// Jobs one worker coalesces into a single cross-signature lane
     /// group (signed in lockstep, hash lanes filled across
     /// signatures). 0 = auto (the dispatched hash-lane width);
-    /// 1 disables coalescing — every job takes the within-signature
-    /// path. Clamped to the LaneScheduler group bound.
+    /// 1 disables coalescing — every job signs as a group of one,
+    /// pooling only its own hash work. Clamped to the LaneScheduler
+    /// group bound.
     unsigned laneGroup = 0;
     Sha256Variant variant = Sha256Variant::Native;
     /// Verify every produced signature against the warm context

@@ -25,8 +25,8 @@ struct BatchStats
     /// Cross-signature lane groups run (coalesced pops of >= 2 jobs
     /// signed in lockstep by the LaneScheduler).
     uint64_t laneGroups = 0;
-    /// Jobs signed inside such a group (the rest took the
-    /// within-signature scalar-batched path).
+    /// Jobs signed inside such a group (the rest signed alone, as a
+    /// LaneScheduler group of one).
     uint64_t crossSignJobs = 0;
     /// Queued jobs dropped at dequeue because their deadline had
     /// passed (failed with DeadlineExceeded; included in failures).

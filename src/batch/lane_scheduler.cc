@@ -9,9 +9,8 @@ namespace herosign::batch
 {
 
 using sphincs::Context;
-using sphincs::ForsLeafReq;
+using sphincs::ForsTreeReq;
 using sphincs::maxHashLanes;
-using sphincs::maxN;
 using sphincs::SecretKey;
 using sphincs::SignTask;
 using sphincs::TreehashStream;
@@ -20,7 +19,7 @@ using sphincs::WotsLeafReq;
 namespace
 {
 
-/** Leaf positions generated per pooled wave (bounds the slab). */
+/** WOTS leaf positions generated per pooled wave. */
 constexpr uint32_t posChunk = maxHashLanes;
 
 } // namespace
@@ -46,44 +45,16 @@ LaneScheduler::run(SignTask *const tasks[], unsigned count)
                 "(one key and parameter set)");
     }
     const sphincs::Params &p = ctx.params();
-    const unsigned n = p.n;
 
-    TreehashStream *streams[maxHashLanes];
-    const uint8_t *leaf_ptrs[maxHashLanes];
-
-    // --- FORS: tree i of every task advances together -------------
-    // Leaf generation pools count * posChunk PRF+F calls per wave;
-    // the absorb cascades pool the same-shape combines group-wide.
-    const uint32_t t = p.forsLeaves();
-    uint8_t slab[posChunk * maxHashLanes * maxN];
-    ForsLeafReq freqs[posChunk * maxHashLanes];
-    for (unsigned i = 0; i < p.forsTrees; ++i) {
-        for (unsigned g = 0; g < count; ++g) {
-            tasks[g]->beginForsTree(i);
-            streams[g] = &tasks[g]->treeStream();
-        }
-        for (uint32_t p0 = 0; p0 < t; p0 += posChunk) {
-            const uint32_t pc = std::min<uint32_t>(posChunk, t - p0);
-            unsigned nr = 0;
-            for (uint32_t q = 0; q < pc; ++q)
-                for (unsigned g = 0; g < count; ++g) {
-                    freqs[nr] = tasks[g]->forsLeafReq(
-                        p0 + q, slab + static_cast<size_t>(nr) * n);
-                    ++nr;
-                }
-            forsLeafBatch(ctx, freqs, nr);
-            for (uint32_t q = 0; q < pc; ++q) {
-                for (unsigned g = 0; g < count; ++g)
-                    leaf_ptrs[g] =
-                        slab +
-                        static_cast<size_t>(q * count + g) * n;
-                TreehashStream::absorbLockstep(streams, leaf_ptrs,
-                                               count);
-            }
-        }
-        for (unsigned g = 0; g < count; ++g)
-            tasks[g]->endForsTree();
-    }
+    // --- FORS: all count * k trees are independent, so they build
+    // together in full lane groups.
+    const unsigned k = p.forsTrees;
+    std::vector<ForsTreeReq> trees(static_cast<size_t>(count) * k);
+    for (unsigned g = 0; g < count; ++g)
+        for (unsigned i = 0; i < k; ++i)
+            trees[static_cast<size_t>(g) * k + i] =
+                tasks[g]->forsTreeReq(i);
+    forsTreeBatch(ctx, trees.data(), trees.size());
     for (unsigned g = 0; g < count; ++g)
         tasks[g]->finishFors();
 
@@ -91,6 +62,8 @@ LaneScheduler::run(SignTask *const tasks[], unsigned count)
     // layer the group's count * 2^(h/d) WOTS leaves pool into full
     // chain batches, with the signing leaves' signatures captured in
     // passing.
+    TreehashStream *streams[maxHashLanes];
+    const uint8_t *leaf_ptrs[maxHashLanes];
     const uint32_t leaves = p.treeLeaves();
     std::vector<WotsLeafReq> wreqs(
         static_cast<size_t>(std::min<uint32_t>(posChunk, leaves)) *

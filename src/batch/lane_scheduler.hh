@@ -2,17 +2,20 @@
  * @file
  * LaneScheduler: cross-signature sign-side lane batching.
  *
- * Verification has filled SIMD lanes across signatures since PR 4;
- * signing still batched only within one signature — one layer's
- * ragged WOTS chains, one tree's leaves — so the 16-lane engine
- * starves on the -f parameter shapes (8..16 WOTS leaves per subtree).
- * The LaneScheduler closes that gap: it walks a group of resumable
- * sphincs::SignTask contexts through FORS and the d hypertree layers
- * in lockstep, pooling every leaf descriptor and every same-shape
- * tree combine across the group, so lanes stay saturated regardless
- * of parameter-set shape. The signing keypairs' WOTS signatures are
- * captured from the pooled pk-generation walks, eliminating the
- * separate per-layer wotsSign() chain walk entirely.
+ * Verification fills SIMD lanes across signatures; a signature's
+ * own hypertree layers are too narrow to (one layer's ragged WOTS
+ * chains, 8..16 WOTS leaves per subtree on the -f sets). The
+ * LaneScheduler runs a group of resumable sphincs::SignTask contexts
+ * to completion. All group * k FORS trees are independent, so one
+ * forsTreeBatch() call builds them in full lane groups. The d
+ * hypertree layers then advance in lockstep, with every WOTS leaf
+ * descriptor and every same-shape tree combine pooled across the
+ * group. The signing keypairs' WOTS signatures are captured from the
+ * pooled pk-generation walks, so there is no separate per-layer
+ * wotsSign() chain walk.
+ *
+ * A group of one is the signing path for a lone request: it gets the
+ * fused FORS trees and the captured WOTS signatures too.
  *
  * Group members must share one warm Context (same key, same
  * parameter set) — mixed-parameter-set groups are rejected with
@@ -49,9 +52,10 @@ class LaneScheduler
     }
 
     /**
-     * Run @p count tasks (1..maxGroup) to completion in lockstep:
-     * FORS tree by tree, then layer by layer, every hash pooled
-     * across the group. All tasks must share one Context object.
+     * Run @p count tasks (1..maxGroup) to completion: every FORS tree
+     * of the group in full lane groups, then layer by layer in
+     * lockstep, every hash pooled across the group. All tasks must
+     * share one Context object.
      * @throws std::invalid_argument on a mixed group
      */
     static void run(sphincs::SignTask *const tasks[], unsigned count);

@@ -289,28 +289,10 @@ SignService::signSameContextGroup(Task *const tasks[], unsigned count)
     tel_->recordGroup(telemetry::Plane::Sign, count,
                       LaneScheduler::preferredGroup());
 
-    if (count == 1) {
-        Task &task = *tasks[0];
-        try {
-            tel_->stamp(task.trace, telemetry::Stage::CryptoStart);
-            ByteVec sig = task.warm->scheme.sign(
-                task.warm->ctx, task.msg, task.warm->key->sk,
-                task.optRand);
-            tel_->stamp(task.trace, telemetry::Stage::CryptoEnd);
-            if (config_.verifyAfterSign)
-                sig = guardSignature(std::move(sig), task);
-            // Always stamped (equal to CryptoEnd when the guard is
-            // off) so the callback stage has a stable left edge.
-            tel_->stamp(task.trace, telemetry::Stage::GuardEnd);
-            finishTask(task, std::move(sig));
-        } catch (...) {
-            failTask(task, std::current_exception());
-        }
-        return;
-    }
-
-    // Cross-signature path: every member shares one warm context, so
-    // the whole run signs as one lockstep lane group.
+    // Every member shares one warm context, so the whole run signs as
+    // one LaneScheduler group; a lone request is a group of one.
+    for (unsigned i = 0; i < count; ++i)
+        tel_->stamp(tasks[i]->trace, telemetry::Stage::CryptoStart);
     const WarmContext &warm = *tasks[0]->warm;
     std::unique_ptr<SignTask> sts[LaneScheduler::maxGroup];
     SignTask *ptrs[LaneScheduler::maxGroup];
@@ -330,9 +312,6 @@ SignService::signSameContextGroup(Task *const tasks[], unsigned count)
     }
     if (nlive == 0)
         return;
-    for (unsigned i = 0; i < nlive; ++i)
-        tel_->stamp(tasks[live[i]]->trace,
-                    telemetry::Stage::CryptoStart);
     bool ran = false;
     try {
         LaneScheduler::run(ptrs, nlive);
@@ -346,14 +325,19 @@ SignService::signSameContextGroup(Task *const tasks[], unsigned count)
     for (unsigned i = 0; i < nlive; ++i)
         tel_->stamp(tasks[live[i]]->trace,
                     telemetry::Stage::CryptoEnd);
-    laneGroups_.fetch_add(1, std::memory_order_relaxed);
-    crossSignJobs_.fetch_add(nlive, std::memory_order_relaxed);
+    if (count > 1) {
+        // Coalescing stats count cross-signature groups only.
+        laneGroups_.fetch_add(1, std::memory_order_relaxed);
+        crossSignJobs_.fetch_add(nlive, std::memory_order_relaxed);
+    }
     for (unsigned i = 0; i < nlive; ++i) {
         Task &task = *tasks[live[i]];
         try {
             ByteVec sig = sts[i]->takeSignature();
             if (config_.verifyAfterSign)
                 sig = guardSignature(std::move(sig), task);
+            // Always stamped (equal to CryptoEnd when the guard is
+            // off) so the callback stage has a stable left edge.
             tel_->stamp(task.trace, telemetry::Stage::GuardEnd);
             finishTask(task, std::move(sig));
         } catch (...) {

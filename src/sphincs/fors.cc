@@ -1,6 +1,7 @@
 #include "sphincs/fors.hh"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "sphincs/merkle.hh"
@@ -9,6 +10,14 @@
 
 namespace herosign::sphincs
 {
+
+namespace
+{
+
+/** Leaf positions per pooled forsTreeBatch() wave (bounds the slab). */
+constexpr uint32_t posChunk = maxHashLanes;
+
+} // namespace
 
 void
 messageToIndices(uint32_t *indices, const Params &params,
@@ -90,20 +99,118 @@ forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
 }
 
 void
-forsGenLeavesXN(uint8_t *out, const Context &ctx, const Address &fors_adrs,
-                uint32_t idx0, unsigned count)
+forsTreeBatch(const Context &ctx, const ForsTreeReq reqs[], size_t count)
 {
-    if (count == 0 || count > maxHashLanes)
-        throw std::invalid_argument(
-            "forsGenLeavesXN: count must be 1..16");
-    const unsigned n = ctx.params().n;
-    ForsLeafReq reqs[maxHashLanes];
-    for (unsigned j = 0; j < count; ++j) {
-        reqs[j].adrs = fors_adrs;
-        reqs[j].idx = idx0 + j;
-        reqs[j].out = out + static_cast<size_t>(j) * n;
+    const Params &p = ctx.params();
+    const unsigned n = p.n;
+    const unsigned a = p.forsHeight;
+    const uint32_t t = p.forsLeaves();
+    const unsigned width = hashLaneWidth();
+
+    TreehashStream streams[maxHashLanes];
+    TreehashStream *sptrs[maxHashLanes];
+    const ForsTreeReq *owner[maxHashLanes];
+    uint32_t first[maxHashLanes];
+    const uint8_t *leaf_ptrs[maxHashLanes];
+    uint8_t slab[posChunk * maxHashLanes * maxN];
+    ForsLeafReq leaves[posChunk * maxHashLanes];
+    // Per tree of a chunk: its subtree roots, then each level above
+    // them, alternating between the two buffers.
+    uint8_t level[2][maxHashLanes][maxHashLanes * maxN];
+    Address adrs[maxHashLanes];
+    uint8_t *outs[maxHashLanes];
+    const uint8_t *ins[maxHashLanes];
+
+    for (size_t c = 0; c < count; c += width) {
+        const ForsTreeReq *chunk = reqs + c;
+        const unsigned m =
+            static_cast<unsigned>(std::min<size_t>(width, count - c));
+        // A full chunk builds its width trees whole. A ragged tail
+        // would combine in narrow batches, so each of its trees splits
+        // into `parts` subtrees of height sub_h instead: width of
+        // them (m * width subtrees fill m lockstep groups exactly), or
+        // one per leaf when the tree has fewer leaves than width. Only
+        // the top levels above the subtrees run narrower.
+        const unsigned top =
+            m == width ? 0
+                       : std::min<unsigned>(std::countr_zero(width), a);
+        const unsigned sub_h = a - top;
+        const unsigned parts = 1u << top;
+        const uint32_t sub_leaves = 1u << sub_h;
+
+        // The subtrees, width at a time: leaf position q of every
+        // subtree in the group hashes in one wave, and each combine
+        // level above it runs as one batch across the group.
+        const unsigned units = m * parts;
+        for (unsigned u0 = 0; u0 < units; u0 += width) {
+            const unsigned g = std::min(width, units - u0);
+            for (unsigned j = 0; j < g; ++j) {
+                const ForsTreeReq &r = chunk[(u0 + j) / parts];
+                const uint32_t part = (u0 + j) % parts;
+                // Only the subtree holding the selected leaf owns the
+                // low part of its auth path.
+                const bool home = (r.leafIdx >> sub_h) == part;
+                owner[j] = &r;
+                first[j] = r.tree * t + part * sub_leaves;
+                streams[j].begin(ctx, sub_h, r.leafIdx & (sub_leaves - 1),
+                                 first[j], home ? r.authOut : nullptr,
+                                 r.adrs);
+                sptrs[j] = &streams[j];
+            }
+            for (uint32_t p0 = 0; p0 < sub_leaves; p0 += posChunk) {
+                const uint32_t pc =
+                    std::min<uint32_t>(posChunk, sub_leaves - p0);
+                unsigned nr = 0;
+                for (uint32_t q = 0; q < pc; ++q)
+                    for (unsigned j = 0; j < g; ++j, ++nr) {
+                        leaves[nr].adrs = owner[j]->adrs;
+                        leaves[nr].idx = first[j] + p0 + q;
+                        leaves[nr].out =
+                            slab + static_cast<size_t>(nr) * n;
+                    }
+                forsLeafBatch(ctx, leaves, nr);
+                for (uint32_t q = 0; q < pc; ++q) {
+                    for (unsigned j = 0; j < g; ++j)
+                        leaf_ptrs[j] =
+                            slab + static_cast<size_t>(q * g + j) * n;
+                    TreehashStream::absorbLockstep(sptrs, leaf_ptrs, g);
+                }
+            }
+            for (unsigned j = 0; j < g; ++j)
+                std::memcpy(level[0][(u0 + j) / parts] +
+                                ((u0 + j) % parts) * n,
+                            streams[j].root(), n);
+        }
+
+        // The top levels of the chunk's trees, one level at a time:
+        // every combine of a level, across all m trees, fills the
+        // batches.
+        unsigned cur = 0;
+        for (unsigned h = sub_h; h < a; ++h, cur ^= 1) {
+            const uint32_t pairs = 1u << (a - h - 1);
+            unsigned nb = 0;
+            for (unsigned j = 0; j < m; ++j) {
+                const ForsTreeReq &r = chunk[j];
+                std::memcpy(r.authOut + h * n,
+                            level[cur][j] + ((r.leafIdx >> h) ^ 1u) * n, n);
+                for (uint32_t i = 0; i < pairs; ++i) {
+                    adrs[nb] = r.adrs;
+                    adrs[nb].setTreeHeight(h + 1);
+                    adrs[nb].setTreeIndex(((r.tree * t) >> (h + 1)) + i);
+                    ins[nb] = level[cur][j] + 2 * i * n;
+                    outs[nb] = level[cur ^ 1][j] + i * n;
+                    if (++nb == width) {
+                        thashX(outs, ctx, adrs, ins, 2 * n, nb);
+                        nb = 0;
+                    }
+                }
+            }
+            if (nb > 0)
+                thashX(outs, ctx, adrs, ins, 2 * n, nb);
+        }
+        for (unsigned j = 0; j < m; ++j)
+            std::memcpy(chunk[j].rootOut, level[cur][j], n);
     }
-    forsLeafBatch(ctx, reqs, count);
 }
 
 void
@@ -113,6 +220,7 @@ forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
     const Params &p = ctx.params();
     const unsigned n = p.n;
     const uint32_t t = p.forsLeaves();
+    const size_t sig_stride = static_cast<size_t>(p.forsHeight + 1) * n;
 
     uint32_t indices[64];
     messageToIndices(indices, p, mhash);
@@ -124,8 +232,6 @@ forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
         Address sk_base = fors_adrs;
         sk_base.setType(AddrType::ForsPrf);
         sk_base.setKeypair(fors_adrs.keypair());
-        const size_t sig_stride =
-            static_cast<size_t>(p.forsHeight + 1) * n;
         const unsigned width = hashLaneWidth();
         Address adrs[maxHashLanes];
         uint8_t *outs[maxHashLanes];
@@ -141,25 +247,20 @@ forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
         }
     }
 
+    // The k trees, each auth path right after its secret value.
+    Address tree_adrs = fors_adrs;
+    tree_adrs.setType(AddrType::ForsTree);
+    tree_adrs.setKeypair(fors_adrs.keypair());
     uint8_t roots[64 * maxN];
+    ForsTreeReq trees[64];
     for (unsigned i = 0; i < p.forsTrees; ++i) {
-        const uint32_t idx_offset = i * t;
-        sig += n; // selected secret value, written above
-
-        // Merkle tree over this subset, rooted at roots[i]; leaves
-        // generated one lane batch at a time.
-        Address tree_adrs = fors_adrs;
-        tree_adrs.setType(AddrType::ForsTree);
-        tree_adrs.setKeypair(fors_adrs.keypair());
-        auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                              uint32_t count) {
-            forsGenLeavesXN(out, ctx, tree_adrs, leaf_start + idx_offset,
-                            count);
-        };
-        treehash(roots + i * n, sig, ctx, indices[i], idx_offset,
-                 p.forsHeight, gen_leaves, tree_adrs);
-        sig += p.forsHeight * n;
+        trees[i].adrs = tree_adrs;
+        trees[i].tree = i;
+        trees[i].leafIdx = indices[i];
+        trees[i].authOut = sig + i * sig_stride + n;
+        trees[i].rootOut = roots + i * n;
     }
+    forsTreeBatch(ctx, trees, p.forsTrees);
 
     Address pk_adrs = fors_adrs;
     pk_adrs.setType(AddrType::ForsRoots);

@@ -41,23 +41,12 @@ void forsGenLeaf(uint8_t *out, const Context &ctx,
                  const Address &fors_adrs, uint32_t idx);
 
 /**
- * Compute @p count consecutive FORS leaves (absolute indices idx0 ..
- * idx0 + count - 1, count <= maxHashLanes) into @p out, running the
- * PRF and F calls across hash-lane batches of the dispatched width.
- * Byte-identical to count forsGenLeaf calls at every width.
- * @param out count * n bytes
- */
-void forsGenLeavesXN(uint8_t *out, const Context &ctx,
-                     const Address &fors_adrs, uint32_t idx0,
-                     unsigned count);
-
-/**
  * One FORS leaf of pooled hash work: leaf @p idx (absolute index,
  * tree * t + position) of the forest addressed by @p adrs, written to
  * @p out. Requests in one forsLeafBatch() call may come from
  * different trees, keypairs and signatures — each carries its own
- * base address — so the cross-signature LaneScheduler can fill hash
- * lanes across in-flight signatures.
+ * base address — so forsTreeBatch() can fill hash lanes across trees
+ * and signatures.
  */
 struct ForsLeafReq
 {
@@ -76,8 +65,43 @@ void forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
                    unsigned count);
 
 /**
+ * One FORS tree of pooled tree-building work: tree @p tree (0..k-1)
+ * of the forest addressed by @p adrs, whose root lands in @p rootOut
+ * and the authentication path of local leaf @p leafIdx in
+ * @p authOut.
+ */
+struct ForsTreeReq
+{
+    Address adrs;               ///< ForsTree-typed, layer/tree/keypair set
+    unsigned tree = 0;          ///< FORS tree index i (leaves at i * t)
+    uint32_t leafIdx = 0;       ///< authenticated leaf, local index
+    uint8_t *authOut = nullptr; ///< a * n bytes
+    uint8_t *rootOut = nullptr; ///< n bytes
+};
+
+/**
+ * Build @p count independent FORS trees (HERO-Sign's Tree Fusion,
+ * paper §III-B). The trees may come from one signature or from many
+ * signatures under @p ctx. They are built in lockstep groups of
+ * exactly hashLaneWidth() trees: each group's leaves are pooled by
+ * position through forsLeafBatch(), and every node-combine level is
+ * one full-width thashX batch (TreehashStream::absorbLockstep).
+ * Exact-width groups matter because the lane kernels only take whole
+ * 16- or 8-lane chunks: a 15-tree group would run 8 lanes on AVX2 and
+ * 7 lanes scalar. The m < width trees left over at the end are split
+ * into width subtrees each, which again form m full groups; only the
+ * top log2(width) levels of those m trees combine in narrower
+ * batches. Roots and auth paths are byte-identical to per-tree
+ * treehash() calls over forsGenLeaf() at every width, and so is the
+ * Sha256::compressionCount() total.
+ */
+void forsTreeBatch(const Context &ctx, const ForsTreeReq reqs[],
+                   size_t count);
+
+/**
  * FORS signature: for each of the k trees, the selected secret value
- * followed by its authentication path.
+ * followed by its authentication path. The k trees are built together
+ * by forsTreeBatch().
  * @param sig out, forsSigBytes()
  * @param pk_out out, n bytes: the FORS public key (root compression),
  *        which is the message signed by the bottom hypertree layer

@@ -66,11 +66,11 @@ class BatchLeafRef
  * Incremental stack-based treehash over one Merkle tree: leaves are
  * absorbed in index order (any batch sizes), the root and the
  * authentication path for one leaf fall out once all 2^height leaves
- * have been absorbed. This is the resumable core the cross-signature
- * LaneScheduler drives — a signing context parks a stream per tree
- * and an external pool feeds it leaves — and the one-shot treehash()
- * below is a thin wrapper over it, so the two paths are
- * byte-identical by construction.
+ * have been absorbed. This is the resumable core forsTreeBatch() and
+ * the LaneScheduler's hypertree layers drive — an external pool feeds
+ * each stream its leaves — and the one-shot treehash() below is a
+ * thin wrapper over it, so the paths are byte-identical by
+ * construction.
  *
  * Streams of identical shape (same height, absorbed in lockstep) can
  * additionally pool their node-combine hashes across trees via
@@ -154,8 +154,10 @@ class TreehashStream
  * Stack-based treehash: computes the root of a 2^height-leaf Merkle
  * tree and the authentication path for @p leaf_idx. The leaf layer is
  * produced hashLaneWidth() leaves per callback so independent leaves
- * fill the dispatched hash lanes; the node combining above it is
- * inherently serial.
+ * fill the dispatched hash lanes. The node combines run one at a time:
+ * inside one tree each needs the one before. Independent trees of one
+ * shape can instead combine in lanes through
+ * TreehashStream::absorbLockstep(), as forsTreeBatch() does for FORS.
  *
  * @param root out, n bytes
  * @param auth_path out, height * n bytes (may be nullptr to skip)

@@ -110,49 +110,35 @@ SignTask::xmssSig(unsigned layer)
            layer * p.xmssSigBytes();
 }
 
-void
-SignTask::beginForsTree(unsigned tree)
+ForsTreeReq
+SignTask::forsTreeReq(unsigned tree)
 {
     const Params &p = ctx_->params();
-    if (tree != curTree_ || tree >= p.forsTrees)
-        throw std::logic_error("SignTask: FORS trees must run in order");
-    Address tree_adrs = forsBase_;
-    stream_.begin(*ctx_, p.forsHeight, forsIndices_[tree],
-                  tree * p.forsLeaves(), forsSigBlock(tree) + p.n,
-                  tree_adrs);
-}
-
-ForsLeafReq
-SignTask::forsLeafReq(uint32_t pos, uint8_t *out) const
-{
-    const Params &p = ctx_->params();
-    ForsLeafReq req;
+    if (tree >= p.forsTrees || forsDone_)
+        throw std::logic_error(
+            "SignTask: FORS tree out of range or FORS already finished");
+    forsTaken_ |= uint64_t{1} << tree;
+    ForsTreeReq req;
     req.adrs = forsBase_;
-    req.idx = curTree_ * p.forsLeaves() + pos;
-    req.out = out;
+    req.tree = tree;
+    req.leafIdx = forsIndices_[tree];
+    req.authOut = forsSigBlock(tree) + p.n;
+    req.rootOut = forsRoots_ + static_cast<size_t>(tree) * p.n;
     return req;
-}
-
-void
-SignTask::endForsTree()
-{
-    const unsigned n = ctx_->params().n;
-    std::memcpy(forsRoots_ + static_cast<size_t>(curTree_) * n,
-                stream_.root(), n);
-    ++curTree_;
 }
 
 void
 SignTask::finishFors()
 {
     const Params &p = ctx_->params();
-    if (curTree_ != p.forsTrees)
+    if (forsDone_ || forsTaken_ != maskBits(p.forsTrees))
         throw std::logic_error("SignTask: FORS trees incomplete");
     Address pk_adrs = forsBase_;
     pk_adrs.setType(AddrType::ForsRoots);
     pk_adrs.setKeypair(layerLeaf_[0]);
     thash(root_, *ctx_, pk_adrs,
           ByteSpan(forsRoots_, static_cast<size_t>(p.forsTrees) * p.n));
+    forsDone_ = true;
 }
 
 void
@@ -161,7 +147,7 @@ SignTask::beginLayer(unsigned layer)
     const Params &p = ctx_->params();
     if (layer != curLayer_ || layer >= p.layers)
         throw std::logic_error("SignTask: layers must run in order");
-    if (curTree_ != p.forsTrees)
+    if (!forsDone_)
         throw std::logic_error("SignTask: layer before FORS finished");
 
     // The serial dependency between layers: the chain lengths of this

@@ -7,19 +7,22 @@
  * so on parameter shapes whose subtrees are narrower than the lane
  * width (the -f sets have 2^(h/d) = 8..16 WOTS leaves per layer) the
  * lane engine starves on every layer boundary. A SignTask instead
- * exposes its remaining hash work as leaf descriptors
- * (sphincs::WotsLeafReq / sphincs::ForsLeafReq) and Merkle streams
- * (sphincs::TreehashStream), letting a scheduler aggregate the
- * descriptors of *several* in-flight signatures into full lane
- * batches — batch::LaneScheduler walks a group of tasks through FORS
- * and the d hypertree layers in lockstep.
+ * exposes its remaining hash work as descriptors — one
+ * sphincs::ForsTreeReq per FORS tree, one sphincs::WotsLeafReq per
+ * hypertree leaf — plus a Merkle stream (sphincs::TreehashStream) per
+ * layer, letting a scheduler aggregate the descriptors of one or
+ * *several* in-flight signatures into full lane batches.
+ * batch::LaneScheduler builds every FORS tree of its group through
+ * forsTreeBatch(), then walks the d hypertree layers in lockstep.
  *
- * Two structural wins fall out of the step-wise form:
+ * Two structural wins fall out of the step-wise form, for groups of
+ * one as much as for larger ones:
  *  - the signing keypair's WOTS+ signature is captured from its
  *    pk-generation chain walk (sig chain values are prefixes of the
  *    full chains), so the separate wotsSign() walk disappears;
- *  - node combines run lane-batched across the group's same-shape
- *    trees instead of scalar per signature.
+ *  - node combines run lane-batched across same-shape trees (the k
+ *    FORS trees, and each layer's tree across the group) instead of
+ *    one at a time.
  *
  * The produced signature is byte-identical to SphincsPlus::sign() at
  * every lane width and group size: every output byte is the result of
@@ -27,9 +30,7 @@
  *
  * Phase protocol (driven by the scheduler, same order as sign()):
  *   ctor                      R, digest, indices, FORS secret values
- *   for each FORS tree i:     beginForsTree(i) -> feed forsLeafReq()
- *                             leaves through treeStream() ->
- *                             endForsTree()
+ *   forsTreeReq(i), i < k     descriptors, built by forsTreeBatch()
  *   finishFors()              T_k root compression
  *   for each layer l:         beginLayer(l) -> feed wotsLeafReq()
  *                             leaves through treeStream() ->
@@ -77,21 +78,21 @@ class SignTask
     // --- FORS phase: k trees of 2^a leaves each -------------------
 
     unsigned forsTreeCount() const { return params().forsTrees; }
-    uint32_t forsLeavesPerTree() const { return params().forsLeaves(); }
-
-    /** Arm the Merkle stream for FORS tree @p tree (in order, 0..k-1). */
-    void beginForsTree(unsigned tree);
 
     /**
-     * Descriptor for leaf @p pos (0..2^a-1) of the current FORS tree,
-     * to be produced into @p out (n bytes) by forsLeafBatch().
+     * Descriptor for FORS tree @p tree (0..k-1, any order), to be
+     * built by forsTreeBatch(): its auth path lands in the signature,
+     * its root in the task.
+     * @throws std::logic_error out of range or after finishFors()
      */
-    ForsLeafReq forsLeafReq(uint32_t pos, uint8_t *out) const;
+    ForsTreeReq forsTreeReq(unsigned tree);
 
-    /** Collect the current tree's root; stream must be done(). */
-    void endForsTree();
-
-    /** Compress the k roots into the FORS public key (layer-0 message). */
+    /**
+     * Compress the k roots into the FORS public key (layer-0 message)
+     * once forsTreeBatch() has built every tree.
+     * @throws std::logic_error when a tree's descriptor was never
+     *         taken, or on a second call
+     */
     void finishFors();
 
     // --- Hypertree phase: d layers of 2^(h/d) WOTS leaves ---------
@@ -123,8 +124,8 @@ class SignTask
     // --------------------------------------------------------------
 
     /**
-     * The Merkle stream of the current tree/layer; the scheduler
-     * feeds it via absorb()/absorbLockstep().
+     * The Merkle stream of the current layer; the scheduler feeds it
+     * via absorb()/absorbLockstep().
      */
     TreehashStream &treeStream() { return stream_; }
 
@@ -150,7 +151,8 @@ class SignTask
     uint32_t lengths_[maxWotsLen];      ///< current layer chain lengths
     TreehashStream stream_;
     Address forsBase_;                  ///< ForsTree adrs, keypair set
-    unsigned curTree_ = 0;
+    uint64_t forsTaken_ = 0;            ///< bit i: tree i's descriptor
+    bool forsDone_ = false;
     unsigned curLayer_ = 0;
     bool finished_ = false;
 };

@@ -57,6 +57,47 @@ struct RobustnessTest : ::testing::Test
         cfg.verifyAfterSign = guard;
         return cfg;
     }
+
+    /**
+     * Sign four jobs with every SIMD-produced fused batch corrupted
+     * and the guard on; lane_group is BatchSignerConfig::laneGroup.
+     */
+    BatchStats
+    signUnderSimdLaneFaults(unsigned lane_group)
+    {
+        // Corrupt one SIMD-produced digest in every fused one-block
+        // batch: effectively every signature from a SIMD tier is bad.
+        FaultPlan plan;
+        plan.rule(FaultPoint::SimdLane).active = true;
+        FaultInjector::instance().arm(plan);
+
+        BatchSignerConfig cfg = smallConfig(true);
+        cfg.laneGroup = lane_group;
+        BatchSigner signer(p, kp.sk, cfg);
+        std::vector<std::future<ByteVec>> futs;
+        for (unsigned i = 0; i < 4; ++i)
+            futs.push_back(signer.submit(patternMsg(40, i)));
+        std::vector<ByteVec> sigs;
+        for (auto &f : futs)
+            sigs.push_back(f.get()); // no SigningFault: scalar redo wins
+        const BatchStats st = signer.drain();
+        FaultInjector::instance().disarm();
+
+        // Every released signature verifies pristinely — corrupt
+        // bytes never escaped the guard.
+        for (unsigned i = 0; i < 4; ++i)
+            EXPECT_TRUE(
+                scheme.verify(patternMsg(40, i), sigs[i], kp.pk));
+        EXPECT_EQ(st.failures, 0u);
+        EXPECT_GE(st.guardMismatches, 1u);
+        // The guard demoted the faulty tier(s); once dispatch reaches
+        // the portable path the fault point goes dead by construction.
+        EXPECT_GE(st.laneQuarantines, 1u);
+        EXPECT_LE(st.laneQuarantines, 2u);
+        EXPECT_GE(sha256LanesQuarantineCount(), 1u);
+        EXPECT_EQ(laneDispatch().backend, LaneBackend::Scalar);
+        return st;
+    }
 };
 
 } // namespace
@@ -83,35 +124,19 @@ TEST_F(RobustnessTest, GuardRecoversFromInjectedSimdLaneFaults)
     if (laneDispatch().backend == LaneBackend::Scalar)
         GTEST_SKIP() << "needs active SIMD dispatch (the simd-lane "
                         "point never fires on scalar tails)";
+    signUnderSimdLaneFaults(0);
+}
 
-    // Corrupt one SIMD-produced digest in every fused one-block
-    // batch: effectively every signature from a SIMD tier is bad.
-    FaultPlan plan;
-    plan.rule(FaultPoint::SimdLane).active = true;
-    FaultInjector::instance().arm(plan);
-
-    BatchSigner signer(p, kp.sk, smallConfig(true));
-    std::vector<std::future<ByteVec>> futs;
-    for (unsigned i = 0; i < 4; ++i)
-        futs.push_back(signer.submit(patternMsg(40, i)));
-    std::vector<ByteVec> sigs;
-    for (auto &f : futs)
-        sigs.push_back(f.get()); // no SigningFault: scalar redo wins
-    const BatchStats st = signer.drain();
-    FaultInjector::instance().disarm();
-
-    // Every released signature verifies pristinely — corrupt bytes
-    // never escaped the guard.
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_TRUE(scheme.verify(patternMsg(40, i), sigs[i], kp.pk));
-    EXPECT_EQ(st.failures, 0u);
-    EXPECT_GE(st.guardMismatches, 1u);
-    // The guard demoted the faulty tier(s); once dispatch reaches the
-    // portable path the fault point goes dead by construction.
-    EXPECT_GE(st.laneQuarantines, 1u);
-    EXPECT_LE(st.laneQuarantines, 2u);
-    EXPECT_GE(sha256LanesQuarantineCount(), 1u);
-    EXPECT_EQ(laneDispatch().backend, LaneBackend::Scalar);
+TEST_F(RobustnessTest, GuardRecoversWithEveryJobAlone)
+{
+    if (laneDispatch().backend == LaneBackend::Scalar)
+        GTEST_SKIP() << "needs active SIMD dispatch (the simd-lane "
+                        "point never fires on scalar tails)";
+    // laneGroup 1: every job signs as a LaneScheduler group of one,
+    // which the coalescing stats do not count.
+    const BatchStats st = signUnderSimdLaneFaults(1);
+    EXPECT_EQ(st.laneGroups, 0u);
+    EXPECT_EQ(st.crossSignJobs, 0u);
 }
 
 TEST_F(RobustnessTest, ExpiredDeadlinesDropWithTypedError)

@@ -3,8 +3,9 @@
  * Cross-signature lane batching correctness: LaneScheduler groups
  * must produce signatures byte-identical to the scalar
  * SphincsPlus::sign() path on every Table I parameter set, at every
- * lane width (1 / 8 / 16), for ragged group sizes that don't divide
- * the lane width, and mixed parameter-set groups must reject cleanly.
+ * lane width (1 / 8 / 16), for group sizes from a lone request to a
+ * full group (including ragged ones that don't divide the lane
+ * width), and mixed parameter-set groups must reject cleanly.
  */
 
 #include <gtest/gtest.h>
@@ -63,28 +64,29 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
         const auto kp = scheme.keygenFromSeed(fixedSeed(p));
         Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
 
-        // Scalar-width references: the ground truth every pooled
-        // configuration must reproduce bit for bit.
-        constexpr unsigned maxMsgs = 5;
+        // SphincsPlus::sign references: the ground truth every pooled
+        // configuration must reproduce bit for bit. They are signed at
+        // the default dispatch; golden_sign_test and thashx_test pin
+        // that path as width-invariant.
+        constexpr unsigned maxMsgs = LaneScheduler::maxGroup;
         std::vector<ByteVec> msgs;
         std::vector<ByteVec> rands;
         std::vector<ByteVec> want;
-        {
-            ScopedWidth w(1);
-            for (unsigned i = 0; i < maxMsgs; ++i) {
-                msgs.push_back(patternMsg(48, static_cast<uint8_t>(i)));
-                rands.push_back(optRandFor(p, i));
-                want.push_back(
-                    scheme.sign(ctx, msgs[i], kp.sk, rands[i]));
-            }
+        for (unsigned i = 0; i < maxMsgs; ++i) {
+            msgs.push_back(patternMsg(48, static_cast<uint8_t>(i)));
+            rands.push_back(optRandFor(p, i));
+            want.push_back(scheme.sign(ctx, msgs[i], kp.sk, rands[i]));
         }
 
         for (unsigned width : {1u, 8u, 16u}) {
             ScopedWidth w(width);
-            // Ragged sizes on purpose: 3 and 5 divide neither 8 nor
-            // 16, so partial lane groups and tail chains exercise
-            // the fallback kernels.
-            for (unsigned group : {1u, 3u, 5u}) {
+            // Ragged sizes on purpose: 3, 5 and 15 divide neither 8
+            // nor 16, so partial lane groups and tail chains exercise
+            // the fallback kernels. The group * k FORS trees build in
+            // full lane groups plus a tail split into subtrees: at
+            // 128f, group 2 gives 66 trees (four 16-tree groups and a
+            // 2-tree tail); 15 is a typical batch-burst group.
+            for (unsigned group : {1u, 2u, 3u, 5u, 15u, 16u}) {
                 std::vector<ByteSpan> msg_spans, rand_spans;
                 for (unsigned i = 0; i < group; ++i) {
                     msg_spans.emplace_back(msgs[i]);
@@ -155,29 +157,57 @@ TEST(LaneSchedulerTest, TaskEnforcesPhaseOrder)
     const ByteVec msg = patternMsg(32);
     SignTask task(ctx, kp.sk, msg);
     EXPECT_THROW(task.beginLayer(0), std::logic_error);
-    EXPECT_THROW(task.beginForsTree(1), std::logic_error);
+    EXPECT_THROW(task.forsTreeReq(p.forsTrees), std::logic_error);
     EXPECT_THROW(task.takeSignature(), std::logic_error);
+
+    // FORS cannot finish while a tree's descriptor is still untaken,
+    // and no descriptor is handed out after it finished.
+    std::vector<sphincs::ForsTreeReq> trees;
+    for (unsigned i = 0; i + 1 < p.forsTrees; ++i)
+        trees.push_back(task.forsTreeReq(i));
+    EXPECT_THROW(task.finishFors(), std::logic_error);
+    trees.push_back(task.forsTreeReq(p.forsTrees - 1));
+    sphincs::forsTreeBatch(ctx, trees.data(), trees.size());
+    task.finishFors();
+    EXPECT_THROW(task.finishFors(), std::logic_error);
+    EXPECT_THROW(task.forsTreeReq(0), std::logic_error);
+    EXPECT_THROW(task.beginLayer(1), std::logic_error);
+    task.beginLayer(0);
 
     EXPECT_THROW(SignTask(ctx, kp.sk, msg, patternMsg(p.n + 1)),
                  std::invalid_argument);
 }
 
-TEST(LaneSchedulerTest, FullGroupOnMiniParams)
+TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
 {
-    // A full maxGroup lockstep group on the cheap set, checked
-    // against scalar signing.
+    // Every group size up to a full maxGroup on the cheap set, at
+    // every width, checked against scalar signing. Its 8 FORS trees of
+    // 16 leaves make some groups end in a ragged tree tail, split down
+    // to single-leaf subtrees at width 16.
     const Params p = miniParams();
     SphincsPlus scheme(p);
     const auto kp = scheme.keygenFromSeed(fixedSeed(p));
     Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
 
-    const unsigned count = LaneScheduler::maxGroup;
-    std::vector<ByteVec> msgs = patternBatch(count);
+    const unsigned maxCount = LaneScheduler::maxGroup;
+    std::vector<ByteVec> msgs = patternBatch(maxCount);
     std::vector<ByteSpan> spans(msgs.begin(), msgs.end());
-    std::vector<ByteVec> sigs(count);
-    LaneScheduler::signGroup(ctx, kp.sk, spans.data(), nullptr,
-                             sigs.data(), count);
-    for (unsigned i = 0; i < count; ++i)
-        EXPECT_EQ(sigs[i], scheme.sign(ctx, msgs[i], kp.sk))
-            << "msg " << i;
+    std::vector<ByteVec> want;
+    {
+        ScopedWidth w(1);
+        for (const ByteVec &m : msgs)
+            want.push_back(scheme.sign(ctx, m, kp.sk));
+    }
+    for (unsigned width : {1u, 8u, 16u}) {
+        ScopedWidth w(width);
+        for (unsigned count = 1; count <= maxCount; ++count) {
+            std::vector<ByteVec> sigs(count);
+            LaneScheduler::signGroup(ctx, kp.sk, spans.data(), nullptr,
+                                     sigs.data(), count);
+            for (unsigned i = 0; i < count; ++i)
+                EXPECT_EQ(sigs[i], want[i]) << "width=" << width
+                                            << " group=" << count
+                                            << " msg=" << i;
+        }
+    }
 }

@@ -66,6 +66,41 @@ struct ServiceRobustnessTest : ::testing::Test
         cfg.verifyAfterSign = guard;
         return cfg;
     }
+
+    /**
+     * Sign four requests with every SIMD-produced fused batch
+     * corrupted and the guard on; coalesce is
+     * ServiceConfig::signCoalesce.
+     */
+    ServiceStats
+    signUnderSimdLaneFaults(unsigned coalesce)
+    {
+        FaultPlan plan;
+        plan.rule(FaultPoint::SimdLane).active = true;
+        FaultInjector::instance().arm(plan);
+
+        ServiceConfig cfg = smallConfig(true);
+        cfg.signCoalesce = coalesce;
+        SignService svc(store, cfg);
+        std::vector<std::future<ByteVec>> futs;
+        for (unsigned i = 0; i < 4; ++i)
+            futs.push_back(svc.submitSign("t0", patternMsg(40, i)));
+        std::vector<ByteVec> sigs;
+        for (auto &f : futs)
+            sigs.push_back(f.get());
+        svc.drain();
+        FaultInjector::instance().disarm();
+
+        for (unsigned i = 0; i < 4; ++i)
+            EXPECT_TRUE(
+                scheme.verify(patternMsg(40, i), sigs[i], kp.pk));
+        const ServiceStats st = svc.stats();
+        EXPECT_EQ(st.signFailures, 0u);
+        EXPECT_GE(st.guardMismatches, 1u);
+        EXPECT_GE(st.laneQuarantines, 1u);
+        EXPECT_EQ(svc.admission()->pendingTotal(), 0u);
+        return st;
+    }
 };
 
 } // namespace
@@ -74,28 +109,18 @@ TEST_F(ServiceRobustnessTest, GuardRecoversAndKeepsLedgerClean)
 {
     if (laneDispatch().backend == LaneBackend::Scalar)
         GTEST_SKIP() << "needs active SIMD dispatch";
+    signUnderSimdLaneFaults(0);
+}
 
-    FaultPlan plan;
-    plan.rule(FaultPoint::SimdLane).active = true;
-    FaultInjector::instance().arm(plan);
-
-    SignService svc(store, smallConfig(true));
-    std::vector<std::future<ByteVec>> futs;
-    for (unsigned i = 0; i < 4; ++i)
-        futs.push_back(svc.submitSign("t0", patternMsg(40, i)));
-    std::vector<ByteVec> sigs;
-    for (auto &f : futs)
-        sigs.push_back(f.get());
-    svc.drain();
-    FaultInjector::instance().disarm();
-
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_TRUE(scheme.verify(patternMsg(40, i), sigs[i], kp.pk));
-    const ServiceStats st = svc.stats();
-    EXPECT_EQ(st.signFailures, 0u);
-    EXPECT_GE(st.guardMismatches, 1u);
-    EXPECT_GE(st.laneQuarantines, 1u);
-    EXPECT_EQ(svc.admission()->pendingTotal(), 0u);
+TEST_F(ServiceRobustnessTest, GuardRecoversWithEveryRequestAlone)
+{
+    if (laneDispatch().backend == LaneBackend::Scalar)
+        GTEST_SKIP() << "needs active SIMD dispatch";
+    // signCoalesce 1: every request signs as a LaneScheduler group of
+    // one, which the coalescing stats do not count.
+    const ServiceStats st = signUnderSimdLaneFaults(1);
+    EXPECT_EQ(st.signLaneGroups, 0u);
+    EXPECT_EQ(st.signCrossSignJobs, 0u);
 }
 
 TEST_F(ServiceRobustnessTest, DeadlinesDropOnBothPlanes)

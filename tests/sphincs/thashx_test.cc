@@ -269,23 +269,34 @@ TEST(BatchedLeaves, WotsPkGenXNMatchesScalarComposition)
     }
 }
 
-TEST(BatchedLeaves, ForsGenLeavesXNMatchesScalar)
+TEST(BatchedLeaves, ForsLeafBatchMatchesScalar)
 {
     const Params &p = Params::sphincs128f();
     Context ctx = makeContext(p, 13);
 
-    Address fors_adrs;
-    fors_adrs.setLayer(0);
-    fors_adrs.setTree(5);
-    fors_adrs.setType(AddrType::ForsTree);
-    fors_adrs.setKeypair(9);
+    // Requests alternate between two forests (different hypertree
+    // positions), as a pooled cross-signature batch does. 37 spans
+    // two full internal sub-batches plus a ragged tail.
+    Address fors_adrs[2];
+    for (unsigned f = 0; f < 2; ++f) {
+        fors_adrs[f].setLayer(0);
+        fors_adrs[f].setTree(5 + f);
+        fors_adrs[f].setType(AddrType::ForsTree);
+        fors_adrs[f].setKeypair(9 - f);
+    }
 
-    for (unsigned count : {1u, 5u, 8u, 13u, 16u}) {
+    for (unsigned count : {1u, 5u, 8u, 13u, 16u, 37u}) {
         std::vector<uint8_t> leaves(count * p.n);
-        forsGenLeavesXN(leaves.data(), ctx, fors_adrs, 40, count);
+        std::vector<ForsLeafReq> reqs(count);
+        for (unsigned j = 0; j < count; ++j) {
+            reqs[j].adrs = fors_adrs[j % 2];
+            reqs[j].idx = 40 + j;
+            reqs[j].out = leaves.data() + j * p.n;
+        }
+        forsLeafBatch(ctx, reqs.data(), count);
         for (unsigned j = 0; j < count; ++j) {
             uint8_t expected[maxN];
-            forsGenLeaf(expected, ctx, fors_adrs, 40 + j);
+            forsGenLeaf(expected, ctx, fors_adrs[j % 2], 40 + j);
             EXPECT_EQ(
                 hexEncode(ByteSpan(leaves.data() + j * p.n, p.n)),
                 hexEncode(ByteSpan(expected, p.n)))

@@ -150,7 +150,8 @@ TEST(ProfileTest, SaveLoadAndFingerprintGuard)
                   .config,
               p.config);
     auto stale = p.fingerprint;
-    stale.dispatch = "portable";
+    stale.dispatch =
+        p.fingerprint.dispatch == "portable" ? "avx512" : "portable";
     try {
         (void)tune::loadProfileMatching(tmp.path, stale);
         FAIL() << "accepted stale-fingerprint profile";
