@@ -1,16 +1,17 @@
 /**
  * @file
- * Real batch-signing throughput: scalar loop vs BatchSigner with
- * 1/2/4/8 workers across the Table I parameter sets. This is the
- * executed counterpart of the Fig. 13 batch-size sweep — wall-clock
- * signatures per second instead of simulated makespan — with the
- * engine's predicted makespan printed alongside the measured one.
+ * Real batch-signing throughput: scalar loop vs a single-key
+ * SignService with 1/2/4/8 workers across the Table I parameter
+ * sets. This is the executed counterpart of the Fig. 13 batch-size
+ * sweep — wall-clock signatures per second instead of simulated
+ * makespan — with the engine's predicted makespan printed alongside
+ * the measured one.
  *
  * A second table sweeps workers (1/2/4/8/16) x lane width
- * (scalar/x8/x16) x batching mode: "within" caps the coalescing
- * group at one job (each signature signs as a LaneScheduler group of
- * one and batches only its own hash work: its k FORS trees fill the
- * lanes, its narrow hypertree layers do not) while "cross" lets
+ * (scalar/x8/x16) x batching mode: "within" sets signCoalesce 1 (each
+ * signature signs as a LaneScheduler group of one and batches only
+ * its own hash work: its k FORS trees fill the lanes, its narrow
+ * hypertree layers do not) while "cross" keeps signCoalesce 0, so
  * workers coalesce queued signatures into lockstep lane groups. The
  * cross rows are the sign-side counterpart of the verifier's
  * across-signature lane fill.
@@ -27,17 +28,16 @@
 #include <cstdlib>
 #include <thread>
 
-#include "batch/batch_signer.hh"
-#include "batch/lane_scheduler.hh"
 #include "bench_util.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
+#include "service/sign_service.hh"
 #include "sphincs/sphincs.hh"
 
 using namespace herosign;
 using namespace herosign::bench;
-using batch::BatchSigner;
-using batch::BatchSignerConfig;
+using service::ServiceConfig;
+using service::ServiceStats;
 using sphincs::Params;
 using sphincs::SphincsPlus;
 
@@ -87,6 +87,26 @@ scalarSignRun(const SphincsPlus &scheme, const sphincs::SecretKey &sk,
     return r;
 }
 
+/**
+ * Sign @p msgs once through a fresh SignService over @p store's one
+ * key ("k"). The stats' wall clock runs from the first submit to the
+ * last completion.
+ */
+ServiceStats
+serviceRun(service::KeyStore &store, const std::vector<ByteVec> &msgs,
+           const ServiceConfig &cfg)
+{
+    service::SignService svc(store, cfg);
+    std::vector<batch::SignRequest> reqs;
+    reqs.reserve(msgs.size());
+    for (const ByteVec &m : msgs)
+        reqs.push_back({m, {}, {}, {}});
+    for (auto &f : svc.submitMany("k", reqs))
+        f.get();
+    svc.drain();
+    return svc.stats();
+}
+
 } // namespace
 
 int
@@ -105,7 +125,7 @@ main(int argc, char **argv)
     }
 
     TextTable table({"set", "mode", "msgs", "wall ms", "sigs/s",
-                     "vs scalar", "steals", "predicted ms"});
+                     "vs scalar", "predicted ms"});
     const auto dev = gpu::DeviceProps::rtx4090();
     EngineCache engines;
 
@@ -121,6 +141,8 @@ main(int argc, char **argv)
         Rng rng(0xb5ac + p.n);
         auto kp = scheme.keygenFromSeed(rng.bytes(3 * p.n));
         auto msgs = makeBatch(rng, msgs_per_set);
+        service::KeyStore store;
+        store.addKey("k", kp);
 
         core::SignEngine &engine =
             engines.get(p, dev, core::EngineConfig::hero());
@@ -140,7 +162,7 @@ main(int argc, char **argv)
         table.addRow({p.name, "scalar lanes (SIMD off)",
                       std::to_string(ref.iters),
                       fmtF(ref.wallUs / 1000.0), fmtF(ref_rate, 1),
-                      fmtX(1.0), "0", fmtF(predicted_ms)});
+                      fmtX(1.0), fmtF(predicted_ms)});
 
         // Honest labeling: without an active SIMD backend this row
         // measures the same portable lanes as the reference.
@@ -152,27 +174,20 @@ main(int argc, char **argv)
                                       : "single thread (no SIMD)";
         table.addRow({p.name, xn_label, std::to_string(xn.iters),
                       fmtF(xn.wallUs / 1000.0), fmtF(xn_rate, 1),
-                      fmtX(xn_rate / ref_rate), "0",
-                      fmtF(predicted_ms)});
+                      fmtX(xn_rate / ref_rate), fmtF(predicted_ms)});
 
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
-            BatchSignerConfig cfg;
+            ServiceConfig cfg;
             cfg.workers = workers;
             cfg.shards = engine.config().streams;
-            BatchSigner signer(p, kp.sk, cfg);
-            auto futures = signer.submitMany(msgs);
-            for (auto &f : futures)
-                f.get();
-            auto st = signer.drain();
+            const ServiceStats st = serviceRun(store, msgs, cfg);
             table.addRow(
                 {p.name,
                  std::to_string(workers) +
                      (workers == 1 ? " worker" : " workers"),
-                 std::to_string(st.jobs),
+                 std::to_string(st.signsCompleted),
                  fmtF(st.wallUs / 1000.0), fmtF(st.sigsPerSec, 1),
-                 fmtX(st.sigsPerSec / ref_rate),
-                 std::to_string(st.crossShardPops),
-                 fmtF(predicted_ms)});
+                 fmtX(st.sigsPerSec / ref_rate), fmtF(predicted_ms)});
         }
     }
 
@@ -209,6 +224,8 @@ main(int argc, char **argv)
         Rng rng(0x5ca1 + p.n);
         auto kp = scheme.keygenFromSeed(rng.bytes(3 * p.n));
         auto msgs = makeBatch(rng, msgs_per_set);
+        service::KeyStore store;
+        store.addKey("k", kp);
 
         for (const Width &w : widths) {
             sha256LanesForceScalar(w.forceScalar);
@@ -216,19 +233,14 @@ main(int argc, char **argv)
             for (unsigned workers : {1u, 2u, 4u, 8u, 16u}) {
                 double within_rate = 0;
                 for (bool cross : {false, true}) {
-                    BatchSignerConfig cfg;
+                    ServiceConfig cfg;
                     cfg.workers = workers;
                     cfg.shards = 4;
-                    // laneGroup 1 pins the within-signature path;
-                    // the cross rows always offer the full group so
-                    // the mode split is identical at every width.
-                    cfg.laneGroup =
-                        cross ? batch::LaneScheduler::maxGroup : 1;
-                    BatchSigner signer(p, kp.sk, cfg);
-                    auto futures = signer.submitMany(msgs);
-                    for (auto &f : futures)
-                        f.get();
-                    auto st = signer.drain();
+                    // signCoalesce 1 pins the within-signature path;
+                    // 0 coalesces up to the dispatched lane width.
+                    cfg.signCoalesce = cross ? 0 : 1;
+                    const ServiceStats st =
+                        serviceRun(store, msgs, cfg);
                     if (!cross)
                         within_rate = st.sigsPerSec;
                     const std::string label =
@@ -244,8 +256,8 @@ main(int argc, char **argv)
                          cross ? fmtX(st.sigsPerSec /
                                       std::max(1.0, within_rate))
                                : fmtX(1.0),
-                         std::to_string(st.laneGroups),
-                         std::to_string(st.crossSignJobs)});
+                         std::to_string(st.signLaneGroups),
+                         std::to_string(st.signCrossSignJobs)});
                 }
             }
             sha256LanesForceScalar(false);
@@ -254,9 +266,9 @@ main(int argc, char **argv)
     }
     emit(opt,
          "Cross-signature lane fill (workers x width x mode)", scaling,
-         "within = coalescing disabled (laneGroup 1, each signature "
+         "within = coalescing disabled (signCoalesce 1, each signature "
          "batches only its own hash work); cross = workers coalesce "
-         "queued signatures into lockstep lane groups "
-         "(LaneScheduler). Byte-identical output in every cell.");
+         "queued signatures into lockstep lane groups (signCoalesce "
+         "0, LaneScheduler). Byte-identical output in every cell.");
     return 0;
 }

@@ -11,7 +11,6 @@
 #include "hash/mgf1.hh"
 #include "hash/sha256.hh"
 #include "hash/sha256xN.hh"
-#include "hash/sha512.hh"
 
 using namespace herosign;
 
@@ -37,18 +36,6 @@ BM_Sha256Ptx(benchmark::State &state)
     ByteVec data = rng.bytes(state.range(0));
     for (auto _ : state) {
         auto d = Sha256::digest(data, Sha256Variant::Ptx);
-        benchmark::DoNotOptimize(d);
-    }
-    state.SetBytesProcessed(state.iterations() * data.size());
-}
-
-void
-BM_Sha512(benchmark::State &state)
-{
-    Rng rng(1);
-    ByteVec data = rng.bytes(state.range(0));
-    for (auto _ : state) {
-        auto d = Sha512::digest(data);
         benchmark::DoNotOptimize(d);
     }
     state.SetBytesProcessed(state.iterations() * data.size());
@@ -139,6 +126,5 @@ BENCHMARK(BM_Sha256Ptx)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x16)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8ScalarLanes)->Arg(64)->Arg(576)->Arg(4096);
-BENCHMARK(BM_Sha512)->Arg(128)->Arg(4096);
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 BENCHMARK(BM_Mgf1)->Arg(34)->Arg(49);

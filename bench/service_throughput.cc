@@ -250,9 +250,10 @@ main(int argc, char **argv)
         std::vector<std::future<ByteVec>> futs;
         futs.reserve(msgs_per_set);
         for (unsigned i = 0; i < msgs_per_set; ++i)
-            futs.push_back(
-                svc.submitSign(std::string("tenant-").append(std::to_string(i % tenants)),
-                               rng.bytes(32)));
+            futs.push_back(svc.submit(
+                std::string("tenant-").append(
+                    std::to_string(i % tenants)),
+                {rng.bytes(32), {}, {}, {}}));
         for (auto &f : futs)
             f.get();
         svc.drain();
@@ -287,10 +288,10 @@ main(int argc, char **argv)
         std::vector<std::future<ByteVec>> futs;
         futs.reserve(msgs_per_set);
         for (unsigned i = 0; i < msgs_per_set; ++i)
-            futs.push_back(svc.submitSign(
+            futs.push_back(svc.submit(
                 std::string("tenant-").append(
                     std::to_string(i % tenants)),
-                rng.bytes(32)));
+                {rng.bytes(32), {}, {}, {}}));
         for (auto &f : futs)
             f.get();
         svc.drain();
@@ -351,11 +352,12 @@ main(int argc, char **argv)
                             std::to_string(tenant));
                     const double s0 = nowUs();
                     if (i % 2 == 0) {
-                        ssvc.submitSign(id, trng.bytes(32)).get();
+                        ssvc.submit(id, {trng.bytes(32), {}, {}, {}})
+                            .get();
                         sign_lat[t].push_back(nowUs() - s0);
                     } else {
-                        vsvc.submitVerify(id, vpool[tenant].first,
-                                          vpool[tenant].second)
+                        vsvc.submit(id, {vpool[tenant].first,
+                                         vpool[tenant].second, {}})
                             .get();
                         verify_lat[t].push_back(nowUs() - s0);
                     }
@@ -390,10 +392,10 @@ main(int argc, char **argv)
             Pending pd;
             pd.submitUs = nowUs();
             if (i % 2 == 0)
-                pd.sign = ssvc.submitSign(id, rng.bytes(32));
+                pd.sign = ssvc.submit(id, {rng.bytes(32), {}, {}, {}});
             else
-                pd.verify = vsvc.submitVerify(id, vpool[tenant].first,
-                                              vpool[tenant].second);
+                pd.verify = vsvc.submit(
+                    id, {vpool[tenant].first, vpool[tenant].second, {}});
             pend.push_back(std::move(pd));
         }
         // Stamp completions in submission order: each latency spans
@@ -440,9 +442,9 @@ main(int argc, char **argv)
         for (unsigned tenant = 0; tenant < tenants; ++tenant) {
             const std::string id = std::string("tenant-").append(
                 std::to_string(tenant));
-            ssvc.submitSign(id, rng.bytes(32)).get();
-            vsvc.submitVerify(id, vpool[tenant].first,
-                              vpool[tenant].second)
+            ssvc.submit(id, {rng.bytes(32), {}, {}, {}}).get();
+            vsvc.submit(id,
+                        {vpool[tenant].first, vpool[tenant].second, {}})
                 .get();
         }
         const unsigned total = producers * per_producer;
@@ -454,10 +456,11 @@ main(int argc, char **argv)
             const std::string id = std::string("tenant-").append(
                 std::to_string(tenant));
             if (i % 2 == 0)
-                sfuts.push_back(ssvc.submitSign(id, rng.bytes(32)));
+                sfuts.push_back(
+                    ssvc.submit(id, {rng.bytes(32), {}, {}, {}}));
             else
-                vfuts.push_back(vsvc.submitVerify(
-                    id, vpool[tenant].first, vpool[tenant].second));
+                vfuts.push_back(vsvc.submit(
+                    id, {vpool[tenant].first, vpool[tenant].second, {}}));
         }
         for (auto &f : sfuts)
             f.get();

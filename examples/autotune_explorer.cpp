@@ -4,8 +4,8 @@
  * knob space (workers/shards/coalescing on both serving planes plus
  * the warm-context cache capacity) with short measured trials, then
  * persist the winning configuration as a per-host profile that
- * ServiceConfig::fromProfile() / BatchSignerConfig::fromProfile()
- * consume as the recommended construction path.
+ * ServiceConfig::fromProfile() consumes as the recommended
+ * construction path.
  *
  *   $ ./autotune_explorer --budget 60s --set 128f --out profile.json
  *

@@ -108,7 +108,8 @@ main(int argc, char **argv)
     std::vector<std::future<ByteVec>> futs;
     futs.reserve(count);
     for (unsigned i = 0; i < count; ++i)
-        futs.push_back(sign_svc.submitSign(signer_of[i], msgs[i]));
+        futs.push_back(
+            sign_svc.submit(signer_of[i], {msgs[i], {}, {}, {}}));
     std::vector<ByteVec> sigs;
     sigs.reserve(count);
     for (auto &f : futs)
@@ -123,7 +124,7 @@ main(int argc, char **argv)
     vfuts.reserve(count);
     for (unsigned i = 0; i < count; ++i)
         vfuts.push_back(
-            verify_svc.submitVerify(signer_of[i], msgs[i], sigs[i]));
+            verify_svc.submit(signer_of[i], {msgs[i], sigs[i], {}}));
     for (unsigned i = 0; i < count; ++i) {
         if (!vfuts[i].get()) {
             std::cerr << "tx " << i << ": verification FAILED\n";

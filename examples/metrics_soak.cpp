@@ -3,8 +3,9 @@
  * Metrics soak: run a duration-bounded mixed sign+verify workload
  * through a shared-registry serving fabric while a MetricsReporter
  * thread appends one JSON snapshot line per period, then validate
- * the final Prometheus exposition with the built-in format checker
- * and print a sampled trace timeline.
+ * the final Prometheus exposition with the test suite's format
+ * checker (tests/telemetry/prom_check.hh) and print a sampled trace
+ * timeline.
  *
  *   $ ./metrics_soak [--seconds N] [--out FILE.jsonl]
  *                    [--period-ms P] [--tenants T]
@@ -24,9 +25,9 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "prom_check.hh"
 #include "service/sign_service.hh"
 #include "service/verify_service.hh"
-#include "telemetry/prom_check.hh"
 #include "telemetry/reporter.hh"
 
 using namespace herosign;
@@ -106,11 +107,12 @@ main(int argc, char **argv)
                     std::string("tenant-").append(
                         std::to_string(tenant));
                 if (i++ % 2 == 0)
-                    sign_svc.submitSign(id, prng.bytes(32)).get();
+                    sign_svc.submit(id, {prng.bytes(32), {}, {}, {}})
+                        .get();
                 else
                     verify_svc
-                        .submitVerify(id, vpool[tenant].first,
-                                      vpool[tenant].second)
+                        .submit(id, {vpool[tenant].first,
+                                     vpool[tenant].second, {}})
                         .get();
             }
         });
@@ -152,7 +154,7 @@ main(int argc, char **argv)
                   << (s.ts[6] - s.ts[0]) / 1e6 << "ms\n";
     }
 
-    // Validate the Prometheus exposition with the built-in checker.
+    // Validate the Prometheus exposition with the format checker.
     const std::string prom = StatsRegistry::exportPrometheus(stats);
     const auto check = telemetry::promCheck(prom);
     std::cout << "prometheus exposition: " << check.samples

@@ -1,14 +1,12 @@
 /**
  * @file
- * The unified request structs for every submit surface in the batch
- * and service layers. One signing request (message, optional signing
- * randomness, optional completion callback) and one verification
- * request (message, signature) — BatchSigner, SignService and
- * VerifyService all accept these via submit(Request) /
- * submitMany(span<Request>), so per-request options survive batch
- * submission instead of being flattened away by message-only
- * overloads. The legacy positional overloads remain as thin
- * delegating shims.
+ * The request structs of the serving layer's submit surface. One
+ * signing request (message, optional signing randomness, optional
+ * completion callback, optional deadline) and one verification
+ * request (message, signature, optional deadline) — SignService and
+ * VerifyService accept these via submit(key, Request) /
+ * submitMany(key, span<Request>), so per-request options survive
+ * batch submission.
  */
 
 #ifndef HEROSIGN_BATCH_SIGN_REQUEST_HH
@@ -17,11 +15,9 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <optional>
 
 #include "common/bytes.hh"
-#include "telemetry/trace.hh"
 
 namespace herosign::batch
 {
@@ -64,25 +60,6 @@ struct VerifyRequest
     ByteVec signature;
     /// Drop-if-late bound; nullopt = no deadline.
     std::optional<Deadline> deadline;
-};
-
-/**
- * One queued signing job: the caller's request plus the submission
- * bookkeeping the worker needs. Move-only (it owns a promise).
- */
-struct SignJob
-{
-    uint64_t seq = 0; ///< submission order, 0-based
-    SignRequest req;
-    std::promise<ByteVec> promise;
-    /// Set once the promise has been fulfilled or failed; lets the
-    /// worker supervisor fail exactly the unsettled jobs of a pass.
-    bool settled = false;
-    /// Stage stamps for the telemetry plane (all zero when the
-    /// owning signer's telemetry is disarmed).
-    telemetry::TraceClock trace;
-    /// kSpan* flag bits accumulated as the job progresses.
-    uint32_t traceFlags = 0;
 };
 
 } // namespace herosign::batch

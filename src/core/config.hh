@@ -96,10 +96,6 @@ struct EngineConfig
     /// chunks >= 512 on the RTX 4090 to maximize throughput.
     unsigned streams = 4;
     unsigned chunkMessages = 512; ///< messages per kernel launch chunk
-    /// Worker threads for the real (executed, not simulated) batch
-    /// signing path; each worker models one stream's host-side
-    /// submitter. The queue shard count always follows `streams`.
-    unsigned batchWorkers = 4;
 
     /** The TCAS-SPHINCSp-like baseline (Kim et al.). */
     static EngineConfig baseline();

@@ -1,12 +1,10 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
-#include "batch/batch_signer.hh"
 #include "sphincs/fors.hh"
 #include "sphincs/thash.hh"
 
@@ -389,86 +387,6 @@ SignEngine::kernelTimingAt(KernelKind kind, unsigned messages) const
                                     messages);
     timing.durationUs *= 1.0 + spillPenaltyPerReg * k.spilledRegs;
     return timing;
-}
-
-BatchExecOutcome
-SignEngine::signBatch(const std::vector<ByteVec> &messages,
-                      const SecretKey &sk,
-                      unsigned worker_override) const
-{
-    batch::BatchSignerConfig bc;
-    bc.workers = std::max(
-        1u, worker_override ? worker_override : config_.batchWorkers);
-    bc.shards = std::max(1u, config_.streams);
-
-    batch::BatchSigner signer(params_, sk, bc);
-    return signBatch(messages, signer);
-}
-
-BatchExecOutcome
-SignEngine::signBatch(const std::vector<ByteVec> &messages,
-                      batch::BatchSigner &signer) const
-{
-    if (signer.params().name != params_.name ||
-        signer.params().n != params_.n)
-        throw std::invalid_argument(
-            "signBatch: signer is bound to parameter set '" +
-            signer.params().name + "', engine runs '" + params_.name +
-            "'");
-
-    BatchExecOutcome out;
-    out.workers = signer.workers();
-
-    auto futures = signer.submitMany(messages);
-    out.signatures.reserve(futures.size());
-    for (auto &f : futures)
-        out.signatures.push_back(f.get());
-    out.stats = signer.drain();
-    out.measuredMakespanUs = out.stats.wallUs;
-    if (!messages.empty())
-        out.predictedMakespanUs =
-            signBatchTiming(static_cast<unsigned>(messages.size()))
-                .makespanUs;
-    return out;
-}
-
-VerifyExecOutcome
-SignEngine::verifyBatch(const std::vector<ByteVec> &messages,
-                        const std::vector<ByteVec> &signatures,
-                        const sphincs::PublicKey &pk) const
-{
-    if (messages.size() != signatures.size())
-        throw std::invalid_argument(
-            "verifyBatch: message/signature count mismatch");
-
-    VerifyExecOutcome out;
-    if (messages.empty())
-        return out;
-
-    sphincs::SphincsPlus scheme(params_);
-    sphincs::Context ctx(params_, pk.pkSeed, {});
-    std::vector<ByteSpan> msgs(messages.size());
-    std::vector<ByteSpan> sigs(messages.size());
-    for (size_t i = 0; i < messages.size(); ++i) {
-        msgs[i] = ByteSpan(messages[i]);
-        sigs[i] = ByteSpan(signatures[i]);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    out.ok = scheme.verifyBatch(ctx, msgs, sigs, pk);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    for (size_t i = 0; i < messages.size(); ++i) {
-        if (out.ok[i])
-            ++out.accepted;
-        else
-            ++out.rejected;
-    }
-    out.wallUs =
-        std::chrono::duration<double, std::micro>(t1 - t0).count();
-    out.verifiesPerSec =
-        out.wallUs > 0 ? messages.size() * 1e6 / out.wallUs : 0.0;
-    return out;
 }
 
 BatchOutcome

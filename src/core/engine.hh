@@ -18,18 +18,12 @@
 #include <memory>
 #include <string>
 
-#include "batch/batch_stats.hh"
 #include "core/config.hh"
 #include "core/kernels.hh"
 #include "core/tuning.hh"
 #include "gpusim/cost_model.hh"
 #include "gpusim/scheduler.hh"
 #include "sphincs/sphincs.hh"
-
-namespace herosign::batch
-{
-class BatchSigner;
-}
 
 namespace herosign::core
 {
@@ -62,30 +56,6 @@ struct SignOutcome
 {
     ByteVec signature;
     std::array<KernelChoice, 3> kernels; ///< FORS, TREE, WOTS order
-};
-
-/**
- * Result of executing a batch for real on the worker pool, with the
- * simulator's prediction for the same batch alongside so callers can
- * report measured vs predicted makespan.
- */
-struct BatchExecOutcome
-{
-    std::vector<ByteVec> signatures; ///< in submission order
-    batch::BatchStats stats;         ///< wall-clock run statistics
-    double measuredMakespanUs = 0;   ///< == stats.wallUs
-    double predictedMakespanUs = 0;  ///< signBatchTiming's makespan
-    unsigned workers = 0;            ///< worker threads used
-};
-
-/** Result of executing a verification batch. */
-struct VerifyExecOutcome
-{
-    std::vector<uint8_t> ok;  ///< 1 per accepted signature, in order
-    uint64_t accepted = 0;
-    uint64_t rejected = 0;
-    double wallUs = 0;
-    double verifiesPerSec = 0;
 };
 
 /** Result of a batch timing simulation. */
@@ -136,41 +106,6 @@ class SignEngine
      */
     SignOutcome sign(ByteSpan msg, const sphincs::SecretKey &sk,
                      ByteSpan opt_rand = {}) const;
-
-    /**
-     * Sign @p messages for real on a batch::BatchSigner worker pool
-     * (workers from the config's batchWorkers, queue shards from its
-     * streams). Signatures are byte-identical to sign() / the scalar
-     * SphincsPlus path and are returned in submission order, along
-     * with measured wall-clock stats and the simulator's predicted
-     * makespan for the same batch size.
-     * @param worker_override worker thread count (0 = config)
-     */
-    BatchExecOutcome signBatch(const std::vector<ByteVec> &messages,
-                               const sphincs::SecretKey &sk,
-                               unsigned worker_override = 0) const;
-
-    /**
-     * Sign @p messages on a caller-provided signer, reusing its
-     * worker pool, queue and warm context across calls instead of
-     * constructing a fresh BatchSigner (threads + Context) per batch.
-     * The signer must be bound to this engine's parameter set —
-     * checked, throws std::invalid_argument on mismatch.
-     */
-    BatchExecOutcome signBatch(const std::vector<ByteVec> &messages,
-                               batch::BatchSigner &signer) const;
-
-    /**
-     * Verify @p signatures over @p messages under one public key with
-     * the lane-batched verifier: one warm Context for the whole batch
-     * and every hot loop a full hash-lane width of signatures wide.
-     * Results are bool-identical
-     * to scalar sphincs::SphincsPlus::verify per pair.
-     */
-    VerifyExecOutcome
-    verifyBatch(const std::vector<ByteVec> &messages,
-                const std::vector<ByteVec> &signatures,
-                const sphincs::PublicKey &pk) const;
 
     /**
      * Simulate a batch of @p messages through the configured

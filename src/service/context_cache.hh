@@ -29,8 +29,15 @@ namespace herosign::service
  * scheme instance, and the hashing context with the precomputed
  * pk_seed mid-state (sk_seed included when the key can sign, so one
  * WarmContext serves both directions).
+ *
+ * Aligned to two cache lines so the shared_ptr control block that
+ * make_shared places in front of it sits in lines of its own: every
+ * admission and every settled job writes that refcount, while the
+ * workers read this state on every hash call. Sharing a line (or an
+ * adjacent-line prefetch pair) slowed batched 256f verification by
+ * about 15% on a 4-core AVX-512 host.
  */
-struct WarmContext
+struct alignas(128) WarmContext
 {
     std::shared_ptr<const KeyRecord> key;
     sphincs::SphincsPlus scheme;

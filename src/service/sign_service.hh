@@ -1,37 +1,36 @@
 /**
  * @file
- * SignService: the multi-tenant signing front end. One worker pool
+ * SignService: the multi-tenant signing front end. One WorkPlane
  * serves every registered key — each request is routed through the
  * warm ContextCache at admission, so the only per-tenant cost is the
  * first touch (one Context construction) and the hot path signs with
  * shared immutable state only. Workers coalesce queued jobs per pass
  * and sign each same-context (same-tenant) run as one cross-signature
  * lane group via batch::LaneScheduler, so SIMD hash lanes fill across
- * signatures even under interleaved multi-tenant traffic. Admission
- * control is a bounded pending-job cap surfaced through the unified
- * ServiceStats.
+ * signatures even under interleaved multi-tenant traffic. A lone
+ * request signs as a group of one. Admission control is a bounded
+ * pending-job cap surfaced through the unified ServiceStats.
+ *
+ * A single-key signer is a SignService over a one-key KeyStore; the
+ * store zeroizes the secret seeds when the last reference drops.
  */
 
 #ifndef HEROSIGN_SERVICE_SIGN_SERVICE_HH
 #define HEROSIGN_SERVICE_SIGN_SERVICE_HH
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
-#include "batch/mpmc_queue.hh"
 #include "batch/sign_request.hh"
 #include "service/admission.hh"
 #include "service/context_cache.hh"
 #include "service/key_store.hh"
 #include "service/service_stats.hh"
+#include "service/work_plane.hh"
 
 namespace herosign::service
 {
@@ -64,7 +63,6 @@ class SignService
         std::shared_ptr<ContextCache> cache = nullptr,
         std::shared_ptr<StatsRegistry> stats = nullptr,
         std::shared_ptr<AdmissionController> admission = nullptr);
-    ~SignService();
 
     SignService(const SignService &) = delete;
     SignService &operator=(const SignService &) = delete;
@@ -74,8 +72,10 @@ class SignService
      * signature (or the exception signing raised). The request's
      * callback, when set, runs on the worker thread with the
      * service-wide submission sequence number.
-     * @throws std::invalid_argument for unknown or verify-only keys
-     * @throws ServiceOverload when the pending cap is hit
+     * @throws std::invalid_argument for unknown or verify-only keys,
+     *         or an optRand that is neither empty nor n bytes
+     * @throws ServiceOverload when an admission limit trips
+     * @throws ServiceShutdown after close()
      */
     std::future<ByteVec> submit(const std::string &key_id,
                                 batch::SignRequest req);
@@ -90,12 +90,8 @@ class SignService
     submitMany(const std::string &key_id,
                std::span<batch::SignRequest> reqs);
 
-    /** Legacy positional shim for submit(key_id, SignRequest). */
-    std::future<ByteVec> submitSign(const std::string &key_id,
-                                    ByteVec msg, ByteVec opt_rand = {});
-
     /** Block until everything submitted so far has completed. */
-    void drain();
+    void drain() { plane_.drain(); }
 
     /**
      * Shut down without stranding: reject new submits with
@@ -106,26 +102,18 @@ class SignService
      * no-op join. Plain destruction instead drains gracefully by
      * signing everything queued.
      */
-    void close();
+    void close() { plane_.close(); }
 
     /** Snapshot the unified serving-layer statistics. */
     ServiceStats stats() const;
 
     /** Jobs submitted and not yet completed (approximate). */
-    uint64_t pending() const
-    {
-        const uint64_t done = completed_.load();
-        const uint64_t sub = submitted_.load();
-        return sub - done;
-    }
+    uint64_t pending() const { return plane_.pending(); }
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
+    unsigned workers() const { return plane_.workers(); }
 
     /** Jobs one worker coalesces per pass (1 = no coalescing). */
-    unsigned coalesceWindow() const { return coalesce_; }
+    unsigned coalesceWindow() const { return plane_.window(); }
 
     const std::shared_ptr<ContextCache> &contextCache() const
     {
@@ -146,69 +134,38 @@ class SignService
 
   private:
     /** One queued signing job, fully routed at admission. */
-    struct Task
+    struct Job : PlaneJob<ByteVec>
     {
-        std::shared_ptr<const WarmContext> warm;
-        TenantCounters *tenant = nullptr;
-        uint64_t seq = 0;
         ByteVec msg;
         ByteVec optRand;
         batch::SignCallback callback;
-        std::optional<batch::Deadline> deadline;
-        std::promise<ByteVec> promise;
-        /// Set once the promise is fulfilled or failed; lets the
-        /// worker supervisor fail exactly the unsettled tasks.
-        bool settled = false;
-        /// Telemetry stage stamps plus accumulated kSpan* flags.
-        telemetry::TraceClock trace;
-        uint32_t traceFlags = 0;
     };
 
-    struct Worker
-    {
-        std::thread thread;
-    };
+    friend class WorkPlane<Job, SignService>;
 
-    void workerLoop(unsigned id);
-    void processChunk(std::vector<Task> &chunk);
-    void finishTask(Task &task, ByteVec sig);
-    void failTask(Task &task, std::exception_ptr err);
-    void noteCompletion();
-    void signSameContextGroup(Task *const tasks[], unsigned count);
-    ByteVec guardSignature(ByteVec sig, Task &task);
-    void completeTrace(Task &task, bool ok);
+    /** Sign one same-context group through the LaneScheduler. */
+    void process(std::span<Job *const> group);
+    void finishJob(Job &job, ByteVec sig);
+    ByteVec guardSignature(ByteVec sig, Job &job);
 
     KeyStore &store_;
-    ServiceConfig config_;
+    const bool verifyAfterSign_;
     std::shared_ptr<ContextCache> cache_;
     std::shared_ptr<StatsRegistry> statsReg_;
     /// The shared registry's telemetry plane (never null; cached so
     /// hot paths skip the shared_ptr indirection).
     telemetry::Telemetry *tel_;
     std::shared_ptr<AdmissionController> admission_;
-    batch::ShardedMpmcQueue<Task> queue_;
-    unsigned coalesce_;
-    std::vector<std::unique_ptr<Worker>> workers_;
 
-    std::atomic<bool> closing_{false};
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> completed_{0};
-    std::atomic<uint64_t> failures_{0};
-    std::atomic<uint64_t> rejected_{0};
     std::atomic<uint64_t> laneGroups_{0};
     std::atomic<uint64_t> crossSignJobs_{0};
-    std::atomic<uint64_t> expired_{0};
     std::atomic<uint64_t> callbackErrors_{0};
-    std::atomic<uint64_t> workerRestarts_{0};
     std::atomic<uint64_t> guardMismatches_{0};
     std::atomic<uint64_t> laneQuarantines_{0};
 
-    // Epoch bookkeeping for wall-clock rates, guarded by drainM_.
-    mutable std::mutex drainM_;
-    std::condition_variable drainCv_;
-    std::chrono::steady_clock::time_point epochStart_;
-    std::chrono::steady_clock::time_point lastCompletion_;
-    bool epochOpen_ = false;
+    // Last: destroyed first, joining the workers while every member
+    // above is still alive.
+    WorkPlane<Job, SignService> plane_;
 };
 
 } // namespace herosign::service

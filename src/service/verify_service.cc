@@ -1,10 +1,5 @@
 #include "service/verify_service.hh"
 
-#include <map>
-#include <stdexcept>
-
-#include "common/errors.hh"
-#include "common/fault.hh"
 #include "sphincs/thashx.hh"
 
 namespace herosign::service
@@ -18,6 +13,20 @@ namespace
 /// tenants at once without starving sibling workers.
 constexpr unsigned kCoalesceLaneFactor = 4;
 
+PlaneShape
+verifyShape(const ServiceConfig &config)
+{
+    PlaneShape shape;
+    shape.workers = config.verifyWorkers;
+    shape.shards = config.verifyShards;
+    shape.window = config.verifyCoalesce > 0
+                       ? config.verifyCoalesce
+                       : kCoalesceLaneFactor * sphincs::hashLaneWidth();
+    // One verifyBatch per warm context in a pass, however large.
+    shape.maxGroup = shape.window;
+    return shape;
+}
+
 } // namespace
 
 VerifyService::VerifyService(
@@ -25,7 +34,7 @@ VerifyService::VerifyService(
     std::shared_ptr<ContextCache> cache,
     std::shared_ptr<StatsRegistry> stats,
     std::shared_ptr<AdmissionController> admission)
-    : store_(store), config_(config),
+    : store_(store),
       cache_(cache ? std::move(cache)
                    : std::make_shared<ContextCache>(
                          config.contextCacheCapacity, config.variant)),
@@ -37,234 +46,40 @@ VerifyService::VerifyService(
                      ? std::move(admission)
                      : std::make_shared<AdmissionController>(
                            AdmissionLimits::fromConfig(config))),
-      queue_(config.verifyShards == 0 ? 1 : config.verifyShards),
-      coalesce_(config.verifyCoalesce > 0
-                    ? config.verifyCoalesce
-                    : kCoalesceLaneFactor * sphincs::hashLaneWidth())
+      plane_(*this, Plane::Verify, "VerifyService",
+             verifyShape(config), *tel_, *admission_)
 {
-    const unsigned n =
-        config.verifyWorkers == 0 ? 1 : config.verifyWorkers;
-    workers_.reserve(n);
-    try {
-        for (unsigned i = 0; i < n; ++i)
-            workers_.emplace_back([this, i] { workerLoop(i); });
-    } catch (...) {
-        queue_.close();
-        for (auto &w : workers_) {
-            if (w.joinable())
-                w.join();
-        }
-        throw;
-    }
-}
-
-VerifyService::~VerifyService()
-{
-    // Graceful teardown: everything still queued is verified before
-    // the workers join — destruction never strands a future.
-    queue_.close();
-    for (auto &w : workers_) {
-        if (w.joinable())
-            w.join();
-    }
-}
-
-void
-VerifyService::close()
-{
-    closing_.store(true, std::memory_order_release);
-    // Workers still pop what remains; the closing_ flag makes
-    // processChunk() fast-fail each request with ServiceShutdown,
-    // releasing its admission slot — no future is stranded.
-    queue_.close();
-    for (auto &w : workers_) {
-        if (w.joinable())
-            w.join();
-    }
-}
-
-bool
-VerifyService::verify(const std::string &key_id, ByteSpan msg,
-                      ByteSpan sig)
-{
-    VerifyRequest req{key_id, msg, sig};
-    return verifyBatch({req})[0] != 0;
-}
-
-void
-VerifyService::openEpochAndCountSubmitted(uint64_t count)
-{
-    std::lock_guard<std::mutex> lk(epochM_);
-    if (!epochOpen_) {
-        epochOpen_ = true;
-        epochStart_ = std::chrono::steady_clock::now();
-    }
-    submitted_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void
-VerifyService::noteCompletion(uint64_t count)
-{
-    {
-        std::lock_guard<std::mutex> lk(epochM_);
-        completed_.fetch_add(count, std::memory_order_release);
-        lastCompletion_ = std::chrono::steady_clock::now();
-    }
-    drainCv_.notify_all();
-}
-
-std::vector<uint8_t>
-VerifyService::runGroup(const WarmContext &warm, TenantCounters &tc,
-                        const std::vector<ByteSpan> &msgs,
-                        const std::vector<ByteSpan> &sigs)
-{
-    auto flags =
-        warm.scheme.verifyBatch(warm.ctx, msgs, sigs, warm.key->pk);
-    const uint64_t n = msgs.size();
-    // Group-shape telemetry covers both planes' callers of runGroup:
-    // the async batcher's coalesced groups and the synchronous
-    // per-tenant groups alike.
-    tel_->recordGroup(telemetry::Plane::Verify, n,
-                      sphincs::hashLaneWidth());
-    verifies_.fetch_add(n, std::memory_order_relaxed);
-    tc.verifies.fetch_add(n, std::memory_order_relaxed);
-    uint64_t group_rejects = 0;
-    for (uint8_t f : flags) {
-        if (!f)
-            ++group_rejects;
-    }
-    if (group_rejects > 0) {
-        tc.verifyRejects.fetch_add(group_rejects,
-                                   std::memory_order_relaxed);
-        rejects_.fetch_add(group_rejects, std::memory_order_relaxed);
-    }
-    return flags;
-}
-
-std::vector<uint8_t>
-VerifyService::verifyBatch(const std::vector<VerifyRequest> &reqs)
-{
-    std::vector<uint8_t> out(reqs.size(), 0);
-    if (reqs.empty())
-        return out;
-    openEpochAndCountSubmitted(reqs.size());
-
-    // Group request indices by tenant, preserving submission order
-    // within each group so lanes fill deterministically.
-    std::map<std::string, std::vector<size_t>> by_key;
-    for (size_t i = 0; i < reqs.size(); ++i)
-        by_key[reqs[i].keyId].push_back(i);
-
-    for (const auto &[key_id, idxs] : by_key) {
-        auto key = store_.find(key_id);
-        if (!key) {
-            // Unknown tenant: every request rejects. Only the global
-            // counters record it — creating registry entries for
-            // attacker-supplied ids would grow memory without bound.
-            verifies_.fetch_add(idxs.size(),
-                                std::memory_order_relaxed);
-            rejects_.fetch_add(idxs.size(), std::memory_order_relaxed);
-            unknownRejects_.fetch_add(idxs.size(),
-                                      std::memory_order_relaxed);
-            noteCompletion(idxs.size());
-            continue;
-        }
-        TenantCounters &tc = statsReg_->tenant(key_id);
-        tc.verifiesSubmitted.fetch_add(idxs.size(),
-                                       std::memory_order_relaxed);
-
-        auto warm = cache_->acquire(key);
-        std::vector<ByteSpan> msgs(idxs.size());
-        std::vector<ByteSpan> sigs(idxs.size());
-        for (size_t j = 0; j < idxs.size(); ++j) {
-            msgs[j] = reqs[idxs[j]].msg;
-            sigs[j] = reqs[idxs[j]].sig;
-        }
-        auto flags = runGroup(*warm, tc, msgs, sigs);
-        for (size_t j = 0; j < idxs.size(); ++j)
-            out[idxs[j]] = flags[j];
-        noteCompletion(idxs.size());
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-VerifyService::verifyBatch(const std::string &key_id,
-                           const std::vector<ByteVec> &msgs,
-                           const std::vector<ByteVec> &sigs)
-{
-    if (msgs.size() != sigs.size())
-        throw std::invalid_argument(
-            "verifyBatch: msgs/sigs size mismatch");
-    std::vector<VerifyRequest> reqs(msgs.size());
-    for (size_t i = 0; i < msgs.size(); ++i)
-        reqs[i] = VerifyRequest{key_id, ByteSpan(msgs[i]),
-                                ByteSpan(sigs[i])};
-    return verifyBatch(reqs);
 }
 
 std::future<bool>
 VerifyService::submit(const std::string &key_id,
                       batch::VerifyRequest req)
 {
-    // Checked before admission so a rejected-at-shutdown submit never
-    // claims (and then has to return) budget.
-    if (closing_.load(std::memory_order_acquire))
-        throw ServiceShutdown("VerifyService: submit after close()");
-    ByteVec msg = std::move(req.message);
-    ByteVec sig = std::move(req.signature);
+    plane_.checkOpen();
     auto key = store_.find(key_id);
     if (!key) {
-        // Reject-not-throw, mirroring the synchronous path: a bad key
-        // id is data. Resolved inline — no admission budget consumed,
-        // nothing queued, no registry entry created.
-        std::promise<bool> p;
-        auto fut = p.get_future();
-        openEpochAndCountSubmitted(1);
+        // Reject-not-throw, resolved inline: no admission budget
+        // consumed, nothing queued, no registry entry created.
+        plane_.noteSubmitted();
         verifies_.fetch_add(1, std::memory_order_relaxed);
         rejects_.fetch_add(1, std::memory_order_relaxed);
         unknownRejects_.fetch_add(1, std::memory_order_relaxed);
-        noteCompletion(1);
+        plane_.noteCompleted();
+        std::promise<bool> p;
         p.set_value(false);
-        return fut;
+        return p.get_future();
     }
 
     TenantCounters &tc = statsReg_->tenant(key_id);
-    try {
-        admission_->admit(Plane::Verify, tc, key_id);
-    } catch (const ServiceOverload &) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        throw;
-    }
-
-    // The slot is claimed: any failure from here to a successful
-    // enqueue must complete the request and return the budget, or
-    // drain() would wait forever.
-    try {
-        openEpochAndCountSubmitted(1);
+    return plane_.submit(tc, key_id, [&](Job &job) {
         tc.verifiesSubmitted.fetch_add(1, std::memory_order_relaxed);
-        Task task;
         // Route once at admission: workers verify with shared
         // immutable warm state only.
-        task.warm = cache_->acquire(key);
-        task.tenant = &tc;
-        task.msg = std::move(msg);
-        task.sig = std::move(sig);
-        task.deadline = req.deadline;
-        auto fut = task.promise.get_future();
-        tel_->stamp(task.trace, telemetry::Stage::Admit);
-        queue_.push(std::move(task));
-        return fut;
-    } catch (...) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        tc.verifyFailures.fetch_add(1, std::memory_order_relaxed);
-        admission_->release(Plane::Verify, tc);
-        noteCompletion(1);
-        if (closing_.load(std::memory_order_acquire))
-            throw ServiceShutdown(
-                "VerifyService: submit after close()");
-        throw;
-    }
+        job.warm = cache_->acquire(key);
+        job.deadline = req.deadline;
+        job.msg = std::move(req.message);
+        job.sig = std::move(req.signature);
+    });
 }
 
 std::vector<std::future<bool>>
@@ -278,172 +93,45 @@ VerifyService::submitMany(const std::string &key_id,
     return futures;
 }
 
-std::future<bool>
-VerifyService::submitVerify(const std::string &key_id, ByteVec msg,
-                            ByteVec sig)
-{
-    return submit(key_id, batch::VerifyRequest{std::move(msg),
-                                               std::move(sig), {}});
-}
-
 void
-VerifyService::workerLoop(unsigned id)
+VerifyService::process(std::span<Job *const> group)
 {
-    const unsigned home = id % queue_.shards();
-    std::vector<Task> chunk;
-    Task task;
-    while (queue_.pop(task, home)) {
-        chunk.clear();
-        tel_->stamp(task.trace, telemetry::Stage::Dequeue);
-        chunk.push_back(std::move(task));
-        // Lane-filling coalescing: opportunistically drain the queue
-        // up to the coalescing window so the per-tenant groups below
-        // reach the dispatched lane width even when tenants
-        // interleave in the arrival order.
-        Task extra;
-        while (chunk.size() < coalesce_ &&
-               queue_.tryPop(extra, home)) {
-            tel_->stamp(extra.trace, telemetry::Stage::Dequeue);
-            chunk.push_back(std::move(extra));
-        }
-        try {
-            if (FaultInjector::fire(FaultPoint::QueueStall))
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(
-                        FaultInjector::instance().stallMs()));
-            FaultInjector::throwIfFires(FaultPoint::WorkerThrow);
-            processChunk(chunk);
-        } catch (...) {
-            // Supervision: an exception escaping a pass fails only
-            // this pass's unsettled tasks (releasing their admission
-            // slots) — then the worker keeps running, an in-place
-            // restart that never shrinks the pool.
-            for (Task &t : chunk)
-                failTask(t, std::current_exception());
-            workerRestarts_.fetch_add(1, std::memory_order_relaxed);
-        }
+    const WarmContext &warm = *group[0]->warm;
+    TenantCounters &tc = *group[0]->tenant;
+    const size_t n = group.size();
+    std::vector<ByteSpan> msgs(n);
+    std::vector<ByteSpan> sigs(n);
+    for (size_t i = 0; i < n; ++i) {
+        msgs[i] = ByteSpan(group[i]->msg);
+        sigs[i] = ByteSpan(group[i]->sig);
+        tel_->stamp(group[i]->trace, telemetry::Stage::CryptoStart);
     }
-}
-
-void
-VerifyService::completeTrace(Task &task, bool ok)
-{
-    if (!tel_->enabled())
+    std::vector<uint8_t> flags;
+    try {
+        flags =
+            warm.scheme.verifyBatch(warm.ctx, msgs, sigs, warm.key->pk);
+    } catch (...) {
+        for (Job *job : group)
+            plane_.fail(*job, std::current_exception());
         return;
-    tel_->stamp(task.trace, telemetry::Stage::Done);
-    telemetry::RequestOutcome out;
-    out.plane = telemetry::Plane::Verify;
-    out.tenant = &task.tenant->id;
-    out.flags = task.traceFlags;
-    if (!ok)
-        out.flags |= telemetry::kSpanFailed;
-    if (FaultInjector::armed())
-        out.flags |= telemetry::kSpanFaultArmed;
-    out.recordHistograms = ok;
-    out.tenantEndToEnd = ok ? &task.tenant->verifyLatency : nullptr;
-    tel_->complete(task.trace, out);
-}
-
-void
-VerifyService::failTask(Task &task, std::exception_ptr err)
-{
-    if (task.settled)
-        return;
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    task.tenant->verifyFailures.fetch_add(1,
-                                          std::memory_order_relaxed);
-    task.promise.set_exception(std::move(err));
-    task.settled = true;
-    completeTrace(task, false);
-    task.warm.reset();
-    admission_->release(Plane::Verify, *task.tenant);
-    noteCompletion(1);
-}
-
-void
-VerifyService::processChunk(std::vector<Task> &chunk)
-{
-    // Admission filter at dequeue time: a closing service fast-fails
-    // everything still queued, and per-request deadlines drop work
-    // that is already too late — the promise is settled with a typed
-    // error and the admission slot returns to the shared budget.
-    const bool closing = closing_.load(std::memory_order_acquire);
-    const auto now = std::chrono::steady_clock::now();
-    for (Task &t : chunk) {
-        if (closing) {
-            failTask(t, std::make_exception_ptr(ServiceShutdown(
-                            "VerifyService: closed while the request "
-                            "was still queued")));
-        } else if (t.deadline && now > *t.deadline) {
-            expired_.fetch_add(1, std::memory_order_relaxed);
-            t.traceFlags |= telemetry::kSpanExpired;
-            failTask(t, std::make_exception_ptr(DeadlineExceeded(
-                            "VerifyService: deadline passed while "
-                            "the request was queued")));
-        }
     }
 
-    // Group by warm context rather than tenant id: a mid-flight key
-    // rotation can put two different contexts for one id in the same
-    // chunk, and each request must verify under the context it was
-    // admitted with.
-    std::map<const WarmContext *, std::vector<size_t>> groups;
-    for (size_t i = 0; i < chunk.size(); ++i) {
-        if (!chunk[i].settled)
-            groups[chunk[i].warm.get()].push_back(i);
+    verifies_.fetch_add(n, std::memory_order_relaxed);
+    tc.verifies.fetch_add(n, std::memory_order_relaxed);
+    uint64_t group_rejects = 0;
+    for (uint8_t f : flags)
+        group_rejects += f ? 0 : 1;
+    if (group_rejects > 0) {
+        rejects_.fetch_add(group_rejects, std::memory_order_relaxed);
+        tc.verifyRejects.fetch_add(group_rejects,
+                                   std::memory_order_relaxed);
     }
-
-    for (auto &[warm, idxs] : groups) {
-        TenantCounters &tc = *chunk[idxs[0]].tenant;
-        std::vector<ByteSpan> msgs(idxs.size());
-        std::vector<ByteSpan> sigs(idxs.size());
-        for (size_t j = 0; j < idxs.size(); ++j) {
-            Task &t = chunk[idxs[j]];
-            tel_->stamp(t.trace, telemetry::Stage::GroupFormed);
-            msgs[j] = ByteSpan(t.msg);
-            sigs[j] = ByteSpan(t.sig);
-        }
-        try {
-            for (size_t j = 0; j < idxs.size(); ++j)
-                tel_->stamp(chunk[idxs[j]].trace,
-                            telemetry::Stage::CryptoStart);
-            auto flags = runGroup(*warm, tc, msgs, sigs);
-            for (size_t j = 0; j < idxs.size(); ++j) {
-                Task &t = chunk[idxs[j]];
-                // Verification has no guard pass; GuardEnd ==
-                // CryptoEnd keeps the callback stage well-defined.
-                tel_->stamp(t.trace, telemetry::Stage::CryptoEnd);
-                tel_->stamp(t.trace, telemetry::Stage::GuardEnd);
-                t.promise.set_value(flags[j] != 0);
-                t.settled = true;
-                completeTrace(t, true);
-            }
-        } catch (...) {
-            failures_.fetch_add(idxs.size(),
-                                std::memory_order_relaxed);
-            tc.verifyFailures.fetch_add(idxs.size(),
-                                        std::memory_order_relaxed);
-            for (size_t j = 0; j < idxs.size(); ++j) {
-                Task &t = chunk[idxs[j]];
-                t.promise.set_exception(std::current_exception());
-                t.settled = true;
-                completeTrace(t, false);
-            }
-        }
-        for (size_t j = 0; j < idxs.size(); ++j)
-            chunk[idxs[j]].warm.reset(); // release context pins
-        admission_->release(Plane::Verify, tc, idxs.size());
-        noteCompletion(idxs.size());
-    }
-}
-
-void
-VerifyService::drain()
-{
-    std::unique_lock<std::mutex> lk(epochM_);
-    drainCv_.wait(lk, [&] {
-        return completed_.load(std::memory_order_acquire) ==
-               submitted_.load(std::memory_order_acquire);
+    plane_.finishGroup(group, [&](size_t i) {
+        // Verification has no guard pass; GuardEnd == CryptoEnd
+        // keeps the callback stage well-defined.
+        tel_->stamp(group[i]->trace, telemetry::Stage::CryptoEnd);
+        tel_->stamp(group[i]->trace, telemetry::Stage::GuardEnd);
+        return flags[i] != 0;
     });
 }
 
@@ -451,39 +139,25 @@ ServiceStats
 VerifyService::stats() const
 {
     ServiceStats st;
-    st.verifyFailures = failures_.load(std::memory_order_relaxed);
+    // Verdict counters first: each is bounded by the later read of
+    // the plane's submitted count.
     st.verifies = verifies_.load(std::memory_order_relaxed);
-    st.verifiesRejected = rejected_.load(std::memory_order_relaxed);
     st.verifyRejects = rejects_.load(std::memory_order_relaxed);
     st.unknownTenantRejects =
         unknownRejects_.load(std::memory_order_relaxed);
-    st.verifyExpired = expired_.load(std::memory_order_relaxed);
-    st.verifyWorkerRestarts =
-        workerRestarts_.load(std::memory_order_relaxed);
-    uint64_t done;
-    {
-        // One consistent snapshot of the counters AND the gauges:
-        // openEpochAndCountSubmitted() and noteCompletion() both
-        // serialize on epochM_, so holding it here freezes
-        // submitted_/completed_ — verifyInFlight is exact, and every
-        // request still queued is submitted-and-not-completed, so
-        // verifyQueueDepth <= verifyInFlight holds in the snapshot.
-        std::lock_guard<std::mutex> lk(epochM_);
-        done = completed_.load(std::memory_order_acquire);
-        st.verifiesSubmitted =
-            submitted_.load(std::memory_order_acquire);
-        st.verifyInFlight = st.verifiesSubmitted - done;
-        st.verifyQueueDepth = queue_.sizeApprox();
-        if (epochOpen_ && done > 0)
-            st.wallUs = std::chrono::duration<double, std::micro>(
-                            lastCompletion_ - epochStart_)
-                            .count();
-    }
+    const PlaneSnapshot pl = plane_.snapshot();
+    st.verifyFailures = pl.failures;
+    st.verifiesRejected = pl.rejected;
+    st.verifyExpired = pl.expired;
+    st.verifyWorkerRestarts = pl.restarts;
+    st.verifiesSubmitted = pl.submitted;
+    st.verifyInFlight = pl.submitted - pl.completed;
+    st.verifyQueueDepth = pl.queueDepth;
+    st.wallUs = pl.wallUs;
     st.verifiesPerSec =
         st.wallUs > 0 ? st.verifies * 1e6 / st.wallUs : 0.0;
     st.cache = cache_->stats();
-    st.tenants =
-        statsReg_->snapshot(0, StatsRegistry::kVerifyPlane);
+    st.tenants = statsReg_->snapshot(0, StatsRegistry::kVerifyPlane);
     st.stages = tel_->snapshotStages(telemetry::Plane::Verify);
     return st;
 }

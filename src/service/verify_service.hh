@@ -1,22 +1,16 @@
 /**
  * @file
  * VerifyService: the batched, multi-tenant verification front end —
- * the other half of serving signature traffic. Two paths share one
- * set of warm contexts and counters:
+ * the other half of serving signature traffic. Requests queue on the
+ * service's own WorkPlane; a worker coalesces queued requests — up to
+ * the coalescing window per pass — and runs each same-context
+ * (same-tenant) run through one SphincsPlus::verifyBatch, so
+ * interleaved mixed-tenant traffic still fills whole lane groups
+ * across signatures.
  *
- *  - the synchronous path (verify / verifyBatch) groups the caller's
- *    requests by tenant on the caller's thread and runs each group
- *    through SphincsPlus::verifyBatch, filling the dispatched
- *    hash-lane width across signatures;
- *  - the asynchronous plane (submitVerify) queues requests on a
- *    sharded MPMC queue served by the service's own worker pool. A
- *    lane-filling batcher coalesces queued requests — up to the
- *    coalescing window per pass — and groups them per tenant, so
- *    interleaved mixed-tenant traffic still fills whole lane groups.
- *
- * Both planes sit behind the same AdmissionController as SignService
+ * The service sits behind the same AdmissionController as SignService
  * (per-direction caps, a shared budget, per-tenant quotas), rejecting
- * with typed ServiceOverload, and report into the same unified
+ * with typed ServiceOverload, and reports into the same unified
  * ServiceStats / StatsRegistry surface.
  */
 
@@ -24,42 +18,27 @@
 #define HEROSIGN_SERVICE_VERIFY_SERVICE_HH
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "batch/mpmc_queue.hh"
 #include "batch/sign_request.hh"
 #include "service/admission.hh"
 #include "service/context_cache.hh"
 #include "service/key_store.hh"
 #include "service/service_stats.hh"
+#include "service/work_plane.hh"
 
 namespace herosign::service
 {
 
-/** One verification request (spans must outlive the call). */
-struct VerifyRequest
-{
-    std::string keyId;
-    ByteSpan msg;
-    ByteSpan sig;
-};
-
 /**
  * Multi-tenant verification service over a KeyStore.
  *
- * Thread-safe: the synchronous calls run on the caller's thread
- * (verification is read-only, so any number of threads may call
- * concurrently) and submitVerify() may be called from any number of
- * producers. The destructor drains outstanding async work before
- * joining the workers.
+ * Thread-safe: submit() may be called from any number of producers.
+ * The destructor drains outstanding work before joining the workers.
  */
 class VerifyService
 {
@@ -83,43 +62,21 @@ class VerifyService
         std::shared_ptr<ContextCache> cache = nullptr,
         std::shared_ptr<StatsRegistry> stats = nullptr,
         std::shared_ptr<AdmissionController> admission = nullptr);
-    ~VerifyService();
 
     VerifyService(const VerifyService &) = delete;
     VerifyService &operator=(const VerifyService &) = delete;
 
     /**
-     * Verify one signature synchronously. Unknown tenants report
-     * false (and count as unknownTenantRejects in the global counters
-     * only — never as new registry entries, so unbounded
-     * attacker-supplied ids cannot grow memory) rather than throwing:
-     * in a serving loop a bad key id is data, not a programming
-     * error.
-     */
-    bool verify(const std::string &key_id, ByteSpan msg, ByteSpan sig);
-
-    /**
-     * Verify a mixed-tenant batch synchronously. Results are
-     * positional: out[i] is 1 when reqs[i] verified. Requests are
-     * grouped by tenant and each group runs hashLaneWidth()
-     * signatures per lane pass; results are bool-identical to calling
-     * verify() per request.
-     */
-    std::vector<uint8_t>
-    verifyBatch(const std::vector<VerifyRequest> &reqs);
-
-    /** Single-tenant convenience overload. */
-    std::vector<uint8_t> verifyBatch(const std::string &key_id,
-                                     const std::vector<ByteVec> &msgs,
-                                     const std::vector<ByteVec> &sigs);
-
-    /**
-     * Queue one verification on the async plane; the future yields
-     * the verdict (identical to the synchronous path byte for byte)
-     * or the exception verification raised. Unknown tenants resolve
-     * to false immediately — reject-not-throw, same as the sync path
-     * — without consuming admission budget.
+     * Queue one verification; the future yields the verdict
+     * (bool-identical to scalar SphincsPlus::verify) or the exception
+     * verification raised. Unknown tenants resolve to false at once
+     * rather than throwing — in a serving loop a bad key id is data,
+     * not a programming error. They count only in the global
+     * unknownTenantRejects bucket, never as registry entries, so
+     * attacker-supplied ids cannot grow memory, and they consume no
+     * admission budget.
      * @throws ServiceOverload when an admission limit trips
+     * @throws ServiceShutdown after close()
      */
     std::future<bool> submit(const std::string &key_id,
                              batch::VerifyRequest req);
@@ -133,12 +90,8 @@ class VerifyService
     submitMany(const std::string &key_id,
                std::span<batch::VerifyRequest> reqs);
 
-    /** Legacy positional shim for submit(key_id, VerifyRequest). */
-    std::future<bool> submitVerify(const std::string &key_id,
-                                   ByteVec msg, ByteVec sig);
-
     /** Block until everything submitted so far has a verdict. */
-    void drain();
+    void drain() { plane_.drain(); }
 
     /**
      * Shut down without stranding: reject new submits with
@@ -148,28 +101,18 @@ class VerifyService
      * destruction instead drains gracefully by verifying everything
      * queued.
      */
-    void close();
+    void close() { plane_.close(); }
 
     /** Snapshot (verify plane, cache, per-tenant). */
     ServiceStats stats() const;
 
     /** Requests accepted and not yet completed (approximate). */
-    uint64_t pending() const
-    {
-        const uint64_t done =
-            completed_.load(std::memory_order_acquire);
-        const uint64_t sub =
-            submitted_.load(std::memory_order_acquire);
-        return sub - done;
-    }
+    uint64_t pending() const { return plane_.pending(); }
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
+    unsigned workers() const { return plane_.workers(); }
 
     /** Requests one worker coalesces into a single grouped pass. */
-    unsigned coalesceWindow() const { return coalesce_; }
+    unsigned coalesceWindow() const { return plane_.window(); }
 
     const std::shared_ptr<ContextCache> &contextCache() const
     {
@@ -188,69 +131,32 @@ class VerifyService
 
   private:
     /** One queued verification, fully routed at admission. */
-    struct Task
+    struct Job : PlaneJob<bool>
     {
-        std::shared_ptr<const WarmContext> warm;
-        TenantCounters *tenant = nullptr;
         ByteVec msg;
         ByteVec sig;
-        std::optional<batch::Deadline> deadline;
-        std::promise<bool> promise;
-        /// Set once the promise is fulfilled or failed; lets the
-        /// worker supervisor fail exactly the unsettled tasks.
-        bool settled = false;
-        /// Telemetry stage stamps plus accumulated kSpan* flags.
-        telemetry::TraceClock trace;
-        uint32_t traceFlags = 0;
     };
 
-    void workerLoop(unsigned id);
-    void processChunk(std::vector<Task> &chunk);
-    void failTask(Task &task, std::exception_ptr err);
-    void completeTrace(Task &task, bool ok);
+    friend class WorkPlane<Job, VerifyService>;
 
-    /**
-     * Run one same-context group through the lane-parallel verifier
-     * and account for it (global + per-tenant attempt and reject
-     * counters). Returns the positional verdicts.
-     */
-    std::vector<uint8_t> runGroup(const WarmContext &warm,
-                                  TenantCounters &tc,
-                                  const std::vector<ByteSpan> &msgs,
-                                  const std::vector<ByteSpan> &sigs);
-
-    void openEpochAndCountSubmitted(uint64_t count);
-    void noteCompletion(uint64_t count);
+    /** Verify one same-context group in one lane-parallel batch. */
+    void process(std::span<Job *const> group);
 
     KeyStore &store_;
-    ServiceConfig config_;
     std::shared_ptr<ContextCache> cache_;
     std::shared_ptr<StatsRegistry> statsReg_;
     /// The shared registry's telemetry plane (never null; cached so
     /// hot paths skip the shared_ptr indirection).
     telemetry::Telemetry *tel_;
     std::shared_ptr<AdmissionController> admission_;
-    batch::ShardedMpmcQueue<Task> queue_;
-    unsigned coalesce_;
-    std::vector<std::thread> workers_;
 
-    std::atomic<bool> closing_{false};
-    std::atomic<uint64_t> submitted_{0}; ///< accepted, both paths
-    std::atomic<uint64_t> completed_{0}; ///< verdict or exception out
-    std::atomic<uint64_t> verifies_{0};  ///< attempts with a verdict
-    std::atomic<uint64_t> failures_{0};  ///< attempts that threw
-    std::atomic<uint64_t> rejects_{0};   ///< false verdicts
-    std::atomic<uint64_t> rejected_{0};  ///< admission refusals
+    std::atomic<uint64_t> verifies_{0}; ///< attempts with a verdict
+    std::atomic<uint64_t> rejects_{0};  ///< false verdicts
     std::atomic<uint64_t> unknownRejects_{0};
-    std::atomic<uint64_t> expired_{0};   ///< deadline drops at dequeue
-    std::atomic<uint64_t> workerRestarts_{0};
 
-    // Epoch bookkeeping for wall-clock rates, guarded by epochM_.
-    mutable std::mutex epochM_;
-    std::condition_variable drainCv_;
-    std::chrono::steady_clock::time_point epochStart_;
-    std::chrono::steady_clock::time_point lastCompletion_;
-    bool epochOpen_ = false;
+    // Last: destroyed first, joining the workers while every member
+    // above is still alive.
+    WorkPlane<Job, VerifyService> plane_;
 };
 
 } // namespace herosign::service

@@ -1,8 +1,8 @@
 /**
  * @file
  * Telemetry: the per-fabric telemetry plane. One instance is owned
- * by a StatsRegistry (so services sharing a registry feed one merged
- * view) and another by each standalone BatchSigner.
+ * by each StatsRegistry, so services sharing a registry feed one
+ * merged view.
  *
  * Aggregates three sinks:
  *  - per-plane, per-stage LatencyHistograms (queue/coalesce/crypto/

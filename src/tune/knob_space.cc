@@ -71,16 +71,6 @@ KnobConfig::toServiceConfig() const
     return cfg;
 }
 
-batch::BatchSignerConfig
-KnobConfig::toBatchSignerConfig() const
-{
-    batch::BatchSignerConfig cfg;
-    cfg.workers = signWorkers;
-    cfg.shards = signShards;
-    cfg.laneGroup = signCoalesce;
-    return cfg;
-}
-
 KnobSpace::KnobSpace(std::vector<Knob> knobs) : knobs_(std::move(knobs))
 {
 }
@@ -233,7 +223,7 @@ KnobSpace::clamp(KnobConfig cfg)
     cfg.verifyShards = std::max(cfg.verifyShards, 1u);
     cfg.cacheCapacity = std::max(cfg.cacheCapacity, 1u);
     // 0 = auto stays; anything explicit caps at the lockstep bound,
-    // mirroring BatchSigner's resolveLaneGroup.
+    // the largest group the LaneScheduler signs in one pass.
     if (cfg.signCoalesce > batch::LaneScheduler::maxGroup)
         cfg.signCoalesce = batch::LaneScheduler::maxGroup;
     return cfg;

@@ -10,8 +10,7 @@
  * per-knob candidate values derived from the hardware
  * (hw_concurrency bounds the worker axes, the dispatched
  * hashLaneWidth() anchors the coalescing axes), and a KnobConfig is
- * one point of the space, mappable onto ServiceConfig and
- * BatchSignerConfig.
+ * one point of the space, mappable onto ServiceConfig.
  */
 
 #ifndef HEROSIGN_TUNE_KNOB_SPACE_HH
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "batch/batch_signer.hh"
 #include "common/random.hh"
 #include "service/admission.hh"
 
@@ -30,12 +28,12 @@ namespace herosign::tune
 
 /**
  * One candidate configuration of the serving stack. Defaults equal
- * the hand-set ServiceConfig/BatchSignerConfig defaults, so a
- * default-constructed KnobConfig IS the untuned baseline.
+ * the hand-set ServiceConfig defaults, so a default-constructed
+ * KnobConfig IS the untuned baseline.
  */
 struct KnobConfig
 {
-    unsigned signWorkers = 4;   ///< SignService / BatchSigner workers
+    unsigned signWorkers = 4;   ///< SignService workers
     unsigned signShards = 4;    ///< sign queue shards
     unsigned signCoalesce = 0;  ///< lane group; 0 = auto (lane width)
     unsigned verifyWorkers = 2; ///< VerifyService workers
@@ -50,9 +48,6 @@ struct KnobConfig
 
     /** Map onto the serving-layer construction knobs. */
     service::ServiceConfig toServiceConfig() const;
-
-    /** Map onto the batch-signer construction knobs. */
-    batch::BatchSignerConfig toBatchSignerConfig() const;
 };
 
 /** One tunable axis: a name and its ordered candidate values. */

@@ -467,8 +467,8 @@ activeProfileHash()
 
 // --- fromProfile: the recommended construction path -----------------
 //
-// Defined here (not in the batch/service TUs) so the config headers
-// only need a forward declaration of tune::Profile; the library links
+// Defined here (not in the service TUs) so the config header only
+// needs a forward declaration of tune::Profile; the library links
 // as one unit either way. Profile knobs pass through KnobSpace::clamp
 // — the same floors/caps the constructors apply — so a value loaded
 // from a profile and the same value set directly produce identical
@@ -503,26 +503,3 @@ ServiceConfig::fromProfile(const tune::Profile &p,
 }
 
 } // namespace herosign::service
-
-namespace herosign::batch
-{
-
-BatchSignerConfig
-BatchSignerConfig::fromProfile(const tune::Profile &p)
-{
-    return fromProfile(p, tune::BatchKnobOverrides{});
-}
-
-BatchSignerConfig
-BatchSignerConfig::fromProfile(const tune::Profile &p,
-                               const tune::BatchKnobOverrides &user)
-{
-    const tune::KnobConfig k = tune::KnobSpace::clamp(p.config);
-    BatchSignerConfig cfg;
-    cfg.workers = user.workers.value_or(k.signWorkers);
-    cfg.shards = user.shards.value_or(k.signShards);
-    cfg.laneGroup = user.laneGroup.value_or(k.signCoalesce);
-    return cfg;
-}
-
-} // namespace herosign::batch

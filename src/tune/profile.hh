@@ -10,10 +10,10 @@
  * fingerprint, and every failure is a typed ProfileError — a
  * malformed or stale profile is rejected, never silently applied.
  *
- * ServiceConfig::fromProfile() / BatchSignerConfig::fromProfile()
- * (declared on the config structs, defined here) are the recommended
- * construction path: profile knobs are clamped exactly like directly
- * set ones, and explicit user overrides always win.
+ * ServiceConfig::fromProfile() (declared on the config struct,
+ * defined here) is the recommended construction path: profile knobs
+ * are clamped exactly like directly set ones, and explicit user
+ * overrides always win.
  */
 
 #ifndef HEROSIGN_TUNE_PROFILE_HH
@@ -129,14 +129,6 @@ struct ServiceKnobOverrides
     std::optional<unsigned> verifyShards;
     std::optional<unsigned> verifyCoalesce;
     std::optional<size_t> contextCacheCapacity;
-};
-
-/** Explicit user overrides for the batch-signer knobs. */
-struct BatchKnobOverrides
-{
-    std::optional<unsigned> workers;
-    std::optional<unsigned> shards;
-    std::optional<unsigned> laneGroup;
 };
 
 /**

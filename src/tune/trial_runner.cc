@@ -67,9 +67,9 @@ TrialMeasurement FabricTrialRunner::measure(const KnobConfig &cfg)
     // cold fills.
     Rng wrng(workload_.seed ^ 0x9e3779b97f4a7c15ull);
     for (unsigned t = 0; t < workload_.tenants; ++t) {
-        ssvc.submitSign(tenantId(t), wrng.bytes(32)).get();
-        vsvc.submitVerify(tenantId(t), vpool_[t].first,
-                          vpool_[t].second)
+        ssvc.submit(tenantId(t), {wrng.bytes(32), {}, {}, {}}).get();
+        vsvc.submit(tenantId(t),
+                    {vpool_[t].first, vpool_[t].second, {}})
             .get();
     }
 
@@ -92,10 +92,11 @@ TrialMeasurement FabricTrialRunner::measure(const KnobConfig &cfg)
                     const std::string id = tenantId(tenant);
                     const uint64_t s0 = nowNs();
                     if (i % 2 == 0)
-                        ssvc.submitSign(id, rng.bytes(32)).get();
+                        ssvc.submit(id, {rng.bytes(32), {}, {}, {}})
+                            .get();
                     else
-                        vsvc.submitVerify(id, vpool_[tenant].first,
-                                          vpool_[tenant].second)
+                        vsvc.submit(id, {vpool_[tenant].first,
+                                         vpool_[tenant].second, {}})
                             .get();
                     lat.record(nowNs() - s0);
                     ++i;

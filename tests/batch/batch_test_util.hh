@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared fixtures for the batch test suites: the cheap "mini"
- * parameter set (full SPHINCS+ semantics, small trees — many
- * signatures per second even under sanitizers) and deterministic
- * seed/message builders matching the engine cross-check idiom.
+ * Shared fixtures for the batch and service test suites: the cheap
+ * "mini" parameter set (full SPHINCS+ semantics, small trees — many
+ * signatures per second even under sanitizers), deterministic
+ * seed/message builders matching the engine cross-check idiom, and
+ * request builders for the services' submit().
  */
 
 #ifndef HEROSIGN_TESTS_BATCH_BATCH_TEST_UTIL_HH
@@ -12,6 +13,7 @@
 #include <numeric>
 #include <vector>
 
+#include "batch/sign_request.hh"
 #include "common/bytes.hh"
 #include "sphincs/params.hh"
 
@@ -61,6 +63,20 @@ patternBatch(unsigned count, size_t len = 40)
     for (unsigned i = 0; i < count; ++i)
         msgs.push_back(patternMsg(len, static_cast<uint8_t>(i)));
     return msgs;
+}
+
+/** A signing request with no callback and no deadline. */
+inline batch::SignRequest
+signReq(ByteVec msg, ByteVec opt_rand = {})
+{
+    return {std::move(msg), std::move(opt_rand), {}, {}};
+}
+
+/** A verification request with no deadline. */
+inline batch::VerifyRequest
+verifyReq(ByteVec msg, ByteVec sig)
+{
+    return {std::move(msg), std::move(sig), {}};
 }
 
 } // namespace herosign::batchtest

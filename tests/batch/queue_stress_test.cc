@@ -1,38 +1,20 @@
 /**
  * @file
- * Stress and semantics tests for the sharded MPMC queue and the
- * BatchSigner under many small submissions from multiple producer
- * threads. These are the tests the ASan/UBSan CI job leans on to
- * guard the threaded queue against data races and lifetime bugs.
+ * Stress and semantics tests for the sharded MPMC queue under many
+ * producer and consumer threads. These are the tests the sanitizer
+ * CI jobs lean on to guard the threaded queue against data races and
+ * lifetime bugs.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 
-#include "batch/batch_signer.hh"
 #include "batch/mpmc_queue.hh"
-#include "batch_test_util.hh"
-#include "common/hex.hh"
 
-using namespace herosign;
 using namespace herosign::batch;
-using sphincs::Params;
-using sphincs::SphincsPlus;
-
-namespace
-{
-
-Params
-miniParams()
-{
-    return batchtest::miniParams("mini-stress");
-}
-
-} // namespace
 
 TEST(MpmcQueue, ManyProducersManyConsumers)
 {
@@ -183,94 +165,4 @@ TEST(MpmcQueue, ZeroShardRequestClampsToOne)
     int v = 0;
     EXPECT_TRUE(q.tryPop(v, 5)); // any home index is valid
     EXPECT_EQ(v, 7);
-}
-
-TEST(BatchSignerStress, ManySmallSubmitsFromMultipleProducers)
-{
-    const Params p = miniParams();
-    SphincsPlus scheme(p);
-    ByteVec seed(3 * p.n);
-    std::iota(seed.begin(), seed.end(), static_cast<uint8_t>(1));
-    auto kp = scheme.keygenFromSeed(seed);
-
-    BatchSignerConfig cfg;
-    cfg.workers = 4;
-    cfg.shards = 4;
-    BatchSigner signer(p, kp.sk, cfg);
-
-    constexpr unsigned producers = 4;
-    constexpr unsigned per_producer = 32;
-    std::atomic<unsigned> callbacks{0};
-
-    std::mutex fm;
-    std::vector<std::pair<ByteVec, std::future<ByteVec>>> results;
-
-    std::vector<std::thread> ps;
-    for (unsigned t = 0; t < producers; ++t) {
-        ps.emplace_back([&, t] {
-            for (unsigned i = 0; i < per_producer; ++i) {
-                ByteVec msg{static_cast<uint8_t>(t),
-                            static_cast<uint8_t>(i)};
-                auto fut = signer.submit(
-                    msg, [&](uint64_t, const ByteVec &) {
-                        callbacks.fetch_add(1);
-                    });
-                std::lock_guard<std::mutex> lk(fm);
-                results.emplace_back(std::move(msg), std::move(fut));
-            }
-        });
-    }
-    for (auto &t : ps)
-        t.join();
-
-    auto st = signer.drain();
-    const unsigned total = producers * per_producer;
-    EXPECT_EQ(st.jobs, total);
-    EXPECT_EQ(st.failures, 0u);
-    EXPECT_EQ(callbacks.load(), total);
-    EXPECT_EQ(std::accumulate(st.perWorkerSigned.begin(),
-                              st.perWorkerSigned.end(), uint64_t{0}),
-              total);
-
-    // Every future is ready and correct; spot-verify a sample and
-    // byte-compare everything against the scalar path.
-    ASSERT_EQ(results.size(), total);
-    for (size_t i = 0; i < results.size(); ++i) {
-        ByteVec sig = results[i].second.get();
-        EXPECT_EQ(hexEncode(sig),
-                  hexEncode(scheme.sign(results[i].first, kp.sk)))
-            << i;
-        if (i % 16 == 0) {
-            EXPECT_TRUE(scheme.verify(results[i].first, sig, kp.pk));
-        }
-    }
-}
-
-TEST(BatchSignerStress, RepeatedDrainCyclesUnderLoad)
-{
-    const Params p = miniParams();
-    SphincsPlus scheme(p);
-    ByteVec seed(3 * p.n, 0x42);
-    auto kp = scheme.keygenFromSeed(seed);
-
-    BatchSignerConfig cfg;
-    cfg.workers = 3;
-    cfg.shards = 2;
-    BatchSigner signer(p, kp.sk, cfg);
-
-    uint64_t grand_total = 0;
-    for (unsigned round = 0; round < 5; ++round) {
-        std::vector<ByteVec> msgs;
-        for (unsigned i = 0; i <= round; ++i)
-            msgs.push_back({static_cast<uint8_t>(round),
-                            static_cast<uint8_t>(i)});
-        auto futures = signer.submitMany(msgs);
-        for (auto &f : futures)
-            EXPECT_EQ(f.get().size(), p.sigBytes());
-        auto st = signer.drain();
-        EXPECT_EQ(st.jobs, msgs.size()) << "round " << round;
-        grand_total += st.jobs;
-    }
-    EXPECT_EQ(grand_total, 15u);
-    EXPECT_EQ(signer.pending(), 0u);
 }

@@ -127,34 +127,3 @@ TEST(EngineCrossCheck, EveryPlatformMatchesReference)
             << dev.name;
     }
 }
-
-TEST(EngineCrossCheck, VerifyBatchMatchesScalarVerify)
-{
-    const Params &p = Params::sphincs128f();
-    SphincsPlus scheme(p);
-    auto kp = scheme.keygenFromSeed(fixedSeed(p));
-    SignEngine engine(p, DeviceProps::rtx4090(), EngineConfig::hero());
-
-    std::vector<ByteVec> msgs;
-    std::vector<ByteVec> sigs;
-    for (unsigned i = 0; i < 5; ++i) {
-        msgs.push_back(patternMsg(16 + i));
-        sigs.push_back(scheme.sign(msgs.back(), kp.sk));
-    }
-    sigs[3][40] ^= 0x02; // one corrupted lane
-
-    auto out = engine.verifyBatch(msgs, sigs, kp.pk);
-    ASSERT_EQ(out.ok.size(), msgs.size());
-    EXPECT_EQ(out.accepted, 4u);
-    EXPECT_EQ(out.rejected, 1u);
-    EXPECT_GT(out.verifiesPerSec, 0.0);
-    for (size_t i = 0; i < msgs.size(); ++i) {
-        EXPECT_EQ(out.ok[i] != 0, scheme.verify(msgs[i], sigs[i], kp.pk))
-            << "lane " << i;
-    }
-
-    EXPECT_THROW(engine.verifyBatch(msgs, {}, kp.pk),
-                 std::invalid_argument);
-    auto empty = engine.verifyBatch({}, {}, kp.pk);
-    EXPECT_TRUE(empty.ok.empty());
-}

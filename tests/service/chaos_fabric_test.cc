@@ -35,6 +35,8 @@
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceOverload;
@@ -134,17 +136,19 @@ TEST(ChaosFabric, MixedTrafficUnderFaultsKeepsInvariants)
                         case 0: {
                             sfuts.emplace_back(
                                 SignOutcome{id, salt, {}},
-                                sign_svc.submitSign(
-                                    id, patternMsg(32, salt)));
+                                sign_svc.submit(
+                                    id, signReq(patternMsg(32, salt))));
                             break;
                         }
                         case 1:
-                            vfuts.push_back(verify_svc.submitVerify(
-                                id, good[id].first, good[id].second));
+                            vfuts.push_back(verify_svc.submit(
+                                id, verifyReq(good[id].first,
+                                              good[id].second)));
                             break;
                         case 2:
-                            vfuts.push_back(verify_svc.submitVerify(
-                                id, bad[id].first, bad[id].second));
+                            vfuts.push_back(verify_svc.submit(
+                                id, verifyReq(bad[id].first,
+                                              bad[id].second)));
                             break;
                         default: {
                             // Signed with a callback (feeding the

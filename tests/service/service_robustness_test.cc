@@ -1,11 +1,12 @@
 /**
  * @file
  * Serving-plane robustness: verify-after-sign behind
- * ServiceConfig::verifyAfterSign, per-request deadlines on both
- * planes, worker supervision, close() fast-fail and the
- * callback-error counter — all with the admission ledger identities
- * intact (every failure path releases its slot, so the shared budget
- * always drains back to zero).
+ * ServiceConfig::verifyAfterSign (clean traffic untouched; injected
+ * SIMD-lane faults caught, the tier quarantined down to scalar),
+ * per-request deadlines on both planes, worker supervision, close()
+ * fast-fail and the callback-error counter — all with the admission
+ * ledger identities intact (every failure path releases its slot, so
+ * the shared budget always drains back to zero).
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,8 @@ using namespace herosign;
 using batchtest::fixedSeed;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceStats;
@@ -84,7 +87,8 @@ struct ServiceRobustnessTest : ::testing::Test
         SignService svc(store, cfg);
         std::vector<std::future<ByteVec>> futs;
         for (unsigned i = 0; i < 4; ++i)
-            futs.push_back(svc.submitSign("t0", patternMsg(40, i)));
+            futs.push_back(
+                svc.submit("t0", signReq(patternMsg(40, i))));
         std::vector<ByteVec> sigs;
         for (auto &f : futs)
             sigs.push_back(f.get());
@@ -97,13 +101,36 @@ struct ServiceRobustnessTest : ::testing::Test
         const ServiceStats st = svc.stats();
         EXPECT_EQ(st.signFailures, 0u);
         EXPECT_GE(st.guardMismatches, 1u);
+        // The guard demoted the faulty tier(s); once dispatch reaches
+        // the portable path the fault point goes dead by construction.
         EXPECT_GE(st.laneQuarantines, 1u);
+        EXPECT_LE(st.laneQuarantines, 2u);
+        EXPECT_GE(sha256LanesQuarantineCount(), 1u);
+        EXPECT_EQ(laneDispatch().backend, LaneBackend::Scalar);
         EXPECT_EQ(svc.admission()->pendingTotal(), 0u);
         return st;
     }
 };
 
 } // namespace
+
+TEST_F(ServiceRobustnessTest, VerifyAfterSignPassesCleanTrafficThrough)
+{
+    SignService svc(store, smallConfig(true));
+    std::vector<std::future<ByteVec>> futs;
+    for (unsigned i = 0; i < 6; ++i)
+        futs.push_back(
+            svc.submit("t0", signReq(patternMsg(40, i))));
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_TRUE(
+            scheme.verify(patternMsg(40, i), futs[i].get(), kp.pk));
+    svc.drain();
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.signsCompleted, 6u);
+    EXPECT_EQ(st.signFailures, 0u);
+    EXPECT_EQ(st.guardMismatches, 0u);
+    EXPECT_EQ(st.laneQuarantines, 0u);
+}
 
 TEST_F(ServiceRobustnessTest, GuardRecoversAndKeepsLedgerClean)
 {
@@ -133,7 +160,7 @@ TEST_F(ServiceRobustnessTest, DeadlinesDropOnBothPlanes)
     late.message = patternMsg(40, 1);
     late.deadline = past;
     auto late_fut = sign_svc.submit("t0", std::move(late));
-    auto ok_fut = sign_svc.submitSign("t0", patternMsg(40, 2));
+    auto ok_fut = sign_svc.submit("t0", signReq(patternMsg(40, 2)));
     EXPECT_THROW(late_fut.get(), DeadlineExceeded);
     const ByteVec ok_sig = ok_fut.get();
     EXPECT_TRUE(scheme.verify(patternMsg(40, 2), ok_sig, kp.pk));
@@ -151,7 +178,7 @@ TEST_F(ServiceRobustnessTest, DeadlinesDropOnBothPlanes)
     vlate.deadline = past;
     auto vlate_fut = verify_svc.submit("t0", std::move(vlate));
     auto vok_fut =
-        verify_svc.submitVerify("t0", patternMsg(40, 2), ok_sig);
+        verify_svc.submit("t0", verifyReq(patternMsg(40, 2), ok_sig));
     EXPECT_THROW(vlate_fut.get(), DeadlineExceeded);
     EXPECT_TRUE(vok_fut.get());
     verify_svc.drain();
@@ -186,13 +213,12 @@ TEST_F(ServiceRobustnessTest, WorkersSurviveEscapedExceptions)
     FaultInjector::instance().arm(plan);
 
     SignService svc(store, smallConfig());
-    EXPECT_THROW(svc.submitSign("t0", patternMsg(40, 0)).get(),
+    EXPECT_THROW(svc.submit("t0", signReq(patternMsg(40, 0))).get(),
                  FaultInjected);
     // The supervised worker is still alive and signing.
-    EXPECT_TRUE(scheme.verify(patternMsg(40, 1),
-                              svc.submitSign("t0", patternMsg(40, 1))
-                                  .get(),
-                              kp.pk));
+    EXPECT_TRUE(scheme.verify(
+        patternMsg(40, 1),
+        svc.submit("t0", signReq(patternMsg(40, 1))).get(), kp.pk));
     svc.drain();
     FaultInjector::instance().disarm();
     const ServiceStats st = svc.stats();
@@ -202,13 +228,45 @@ TEST_F(ServiceRobustnessTest, WorkersSurviveEscapedExceptions)
     EXPECT_EQ(svc.workers(), 1u);
 }
 
+TEST_F(ServiceRobustnessTest, TwoEscapedThrowsKeepThePoolAtOne)
+{
+    // The first two worker passes throw outside every per-job
+    // handler; supervision must fail only those passes' jobs and
+    // keep the single worker alive.
+    FaultPlan plan;
+    FaultRule &rule = plan.rule(FaultPoint::WorkerThrow);
+    rule.active = true;
+    rule.max = 2;
+    FaultInjector::instance().arm(plan);
+
+    SignService svc(store, smallConfig());
+    // Sequential submit + get so each job is its own pass.
+    EXPECT_THROW(svc.submit("t0", signReq(patternMsg(40, 0))).get(),
+                 FaultInjected);
+    EXPECT_THROW(svc.submit("t0", signReq(patternMsg(40, 1))).get(),
+                 FaultInjected);
+    EXPECT_TRUE(scheme.verify(
+        patternMsg(40, 2),
+        svc.submit("t0", signReq(patternMsg(40, 2))).get(), kp.pk));
+    svc.drain();
+    FaultInjector::instance().disarm();
+
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.signsCompleted, 3u);
+    EXPECT_EQ(st.signFailures, 2u);
+    EXPECT_EQ(st.workerRestarts, 2u);
+    EXPECT_EQ(svc.admission()->pendingTotal(), 0u);
+    EXPECT_EQ(svc.workers(), 1u); // pool never shrank
+}
+
 TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
 {
     auto sign_svc =
         std::make_unique<SignService>(store, smallConfig());
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 12; ++i)
-        futs.push_back(sign_svc->submitSign("t0", patternMsg(40, i)));
+        futs.push_back(
+            sign_svc->submit("t0", signReq(patternMsg(40, i))));
     sign_svc->close();
     unsigned signed_ok = 0, shut_down = 0;
     for (unsigned i = 0; i < 12; ++i) {
@@ -224,7 +282,7 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
     EXPECT_EQ(sign_svc->pending(), 0u);
     // Every slot came back, whether the job signed or was failed.
     EXPECT_EQ(sign_svc->admission()->pendingTotal(), 0u);
-    EXPECT_THROW(sign_svc->submitSign("t0", patternMsg(40, 99)),
+    EXPECT_THROW(sign_svc->submit("t0", signReq(patternMsg(40, 99))),
                  ServiceShutdown);
     sign_svc.reset();
 
@@ -236,7 +294,7 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
         std::make_unique<VerifyService>(store, smallConfig());
     std::vector<std::future<bool>> vfuts;
     for (unsigned i = 0; i < 12; ++i)
-        vfuts.push_back(verify_svc->submitVerify("t0", msg, sig));
+        vfuts.push_back(verify_svc->submit("t0", verifyReq(msg, sig)));
     verify_svc->close();
     unsigned verdicts = 0, vshut = 0;
     for (auto &f : vfuts) {
@@ -250,6 +308,6 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
     EXPECT_EQ(verdicts + vshut, 12u);
     EXPECT_EQ(verify_svc->pending(), 0u);
     EXPECT_EQ(verify_svc->admission()->pendingTotal(), 0u);
-    EXPECT_THROW(verify_svc->submitVerify("t0", msg, sig),
+    EXPECT_THROW(verify_svc->submit("t0", verifyReq(msg, sig)),
                  ServiceShutdown);
 }

@@ -1,15 +1,19 @@
 /**
  * @file
  * SignService: multi-tenant routing correctness (byte-identical to
- * the scalar per-key path), the no-per-sign-Context-construction
- * guarantee, admission control, and the unified stats surface.
+ * the scalar per-key path on every Table I set and at any worker
+ * count), the no-per-sign-Context-construction guarantee, admission
+ * control, graceful teardown, multi-producer stress and the unified
+ * stats surface.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "../batch/batch_test_util.hh"
 #include "common/hex.hh"
@@ -18,7 +22,9 @@
 
 using namespace herosign;
 using batchtest::miniParams;
+using batchtest::patternBatch;
 using batchtest::patternMsg;
+using batchtest::signReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceOverload;
@@ -67,7 +73,7 @@ TEST(SignService, RoutesTenantsByteIdentically)
     for (unsigned i = 0; i < 12; ++i) {
         const std::string id = std::string("tenant-").append(std::to_string(i % 3));
         ByteVec msg = patternMsg(40, static_cast<uint8_t>(i));
-        futs.push_back(svc.submitSign(id, msg));
+        futs.push_back(svc.submit(id, signReq(msg)));
         jobs.emplace_back(id, std::move(msg));
     }
 
@@ -211,8 +217,9 @@ TEST(SignService, HotPathConstructsNoContexts)
     const uint64_t ctx0 = Context::constructionCount();
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 8; ++i)
-        futs.push_back(svc.submitSign(std::string("tenant-").append(std::to_string(i % 2)),
-                                      patternMsg(32, i)));
+        futs.push_back(svc.submit(
+            std::string("tenant-").append(std::to_string(i % 2)),
+            signReq(patternMsg(32, i))));
     for (auto &f : futs)
         f.get();
     EXPECT_EQ(Context::constructionCount() - ctx0, 2u);
@@ -221,8 +228,9 @@ TEST(SignService, HotPathConstructsNoContexts)
     const uint64_t ctx1 = Context::constructionCount();
     futs.clear();
     for (unsigned i = 0; i < 8; ++i)
-        futs.push_back(svc.submitSign(std::string("tenant-").append(std::to_string(i % 2)),
-                                      patternMsg(32, 100 + i)));
+        futs.push_back(svc.submit(
+            std::string("tenant-").append(std::to_string(i % 2)),
+            signReq(patternMsg(32, 100 + i))));
     for (auto &f : futs)
         f.get();
     EXPECT_EQ(Context::constructionCount() - ctx1, 0u);
@@ -242,17 +250,14 @@ TEST(SignService, RejectsUnknownAndVerifyOnlyKeys)
     t.store.addVerifyKey("verify-only", vkp.pk);
 
     SignService svc(t.store);
-    EXPECT_THROW(svc.submitSign("nope", patternMsg(8)),
+    EXPECT_THROW(svc.submit("nope", signReq(patternMsg(8))),
                  std::invalid_argument);
-    EXPECT_THROW(svc.submitSign("verify-only", patternMsg(8)),
+    EXPECT_THROW(svc.submit("verify-only", signReq(patternMsg(8))),
                  std::invalid_argument);
-    EXPECT_THROW(
-        svc.submitSign("tenant-0", patternMsg(8), ByteVec(p.n + 1)),
-        std::invalid_argument);
 
     // Well-formed opt_rand still works.
-    auto f = svc.submitSign("tenant-0", patternMsg(8),
-                            ByteVec(p.n, 0xa5));
+    auto f = svc.submit("tenant-0",
+                        signReq(patternMsg(8), ByteVec(p.n, 0xa5)));
     EXPECT_EQ(f.get(), scheme.sign(patternMsg(8),
                                    t.keys.at("tenant-0").sk,
                                    ByteVec(p.n, 0xa5)));
@@ -274,7 +279,7 @@ TEST(SignService, AdmissionControlBoundsPending)
     for (unsigned i = 0; i < 64; ++i) {
         try {
             futs.push_back(
-                svc.submitSign("tenant-0", patternMsg(16, i)));
+                svc.submit("tenant-0", signReq(patternMsg(16, i))));
             ++accepted;
         } catch (const ServiceOverload &) {
             ++rejected;
@@ -306,10 +311,222 @@ TEST(SignService, SharedCacheAcrossServices)
     SignService a(t.store, cfg, cache);
     SignService b(t.store, cfg, cache);
 
-    a.submitSign("tenant-0", patternMsg(8)).get();
-    b.submitSign("tenant-0", patternMsg(9)).get();
+    a.submit("tenant-0", signReq(patternMsg(8))).get();
+    b.submit("tenant-0", signReq(patternMsg(9))).get();
 
     auto st = cache->stats();
     EXPECT_EQ(st.misses, 1u); // b reused a's warm context
     EXPECT_EQ(st.hits, 1u);
+}
+
+TEST(SignService, ByteMatchesScalarForEveryTableISet)
+{
+    for (const sphincs::Params &p : sphincs::Params::all()) {
+        SphincsPlus scheme(p);
+        auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(p));
+        KeyStore store;
+        store.addKey("k", kp);
+
+        ServiceConfig cfg;
+        cfg.workers = 3;
+        cfg.shards = 2;
+        SignService svc(store, cfg);
+
+        auto msgs = patternBatch(3);
+        std::vector<batch::SignRequest> reqs;
+        for (const ByteVec &m : msgs)
+            reqs.push_back(signReq(m));
+        auto futures = svc.submitMany("k", reqs);
+        ASSERT_EQ(futures.size(), msgs.size());
+        for (size_t i = 0; i < msgs.size(); ++i) {
+            ByteVec got = futures[i].get();
+            EXPECT_EQ(hexEncode(got),
+                      hexEncode(scheme.sign(msgs[i], kp.sk)))
+                << p.name << " msg " << i;
+            EXPECT_TRUE(scheme.verify(msgs[i], got, kp.pk));
+        }
+        svc.drain();
+        auto st = svc.stats();
+        EXPECT_EQ(st.signsCompleted, msgs.size());
+        EXPECT_EQ(st.signFailures, 0u);
+        EXPECT_GT(st.wallUs, 0.0);
+        EXPECT_GT(st.sigsPerSec, 0.0);
+    }
+}
+
+// Whatever group shapes the queue races produce, output bytes match
+// the scalar path per message — 1 worker and 8 workers alike.
+TEST(SignService, WorkerCountInvariance1v8)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    SphincsPlus scheme(p);
+    auto msgs = patternBatch(12, 24);
+
+    const sphincs::SecretKey &sk = t.keys.at("tenant-0").sk;
+    std::vector<std::string> ref;
+    for (const ByteVec &m : msgs)
+        ref.push_back(hexEncode(scheme.sign(m, sk)));
+
+    for (unsigned workers : {1u, 8u}) {
+        ServiceConfig cfg;
+        cfg.workers = workers;
+        cfg.shards = workers == 1 ? 1 : 4;
+        SignService svc(t.store, cfg);
+        std::vector<batch::SignRequest> reqs;
+        for (const ByteVec &m : msgs)
+            reqs.push_back(signReq(m));
+        auto futures = svc.submitMany("tenant-0", reqs);
+        for (size_t i = 0; i < msgs.size(); ++i)
+            EXPECT_EQ(hexEncode(futures[i].get()), ref[i])
+                << "workers=" << workers << " msg=" << i;
+        svc.drain();
+        auto st = svc.stats();
+        EXPECT_EQ(st.signFailures, 0u);
+        EXPECT_LE(st.signCrossSignJobs, st.signsCompleted);
+    }
+}
+
+// A malformed request is refused before it claims anything: no
+// admission slot, no sequence number, no tenant counters.
+TEST(SignService, WrongLengthOptRandThrowsOnSubmit)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    SignService svc(t.store);
+    for (size_t len : {p.n + 1, p.n - 1}) {
+        EXPECT_THROW(svc.submit("tenant-0",
+                                signReq(patternMsg(8), ByteVec(len))),
+                     std::invalid_argument)
+            << len;
+    }
+    EXPECT_EQ(svc.pending(), 0u);
+    EXPECT_EQ(svc.admission()->pendingTotal(), 0u);
+    auto st = svc.stats();
+    EXPECT_EQ(st.signsSubmitted, 0u);
+    EXPECT_EQ(st.signFailures, 0u);
+}
+
+TEST(SignService, EmptySubmitMany)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    SignService svc(t.store);
+
+    std::vector<batch::SignRequest> none;
+    auto futures = svc.submitMany("tenant-0", none);
+    EXPECT_TRUE(futures.empty());
+    svc.drain(); // returns at once: nothing is pending
+    auto st = svc.stats();
+    EXPECT_EQ(st.signsSubmitted, 0u);
+    EXPECT_EQ(st.signsCompleted, 0u);
+    EXPECT_EQ(st.wallUs, 0.0);
+    EXPECT_EQ(st.sigsPerSec, 0.0);
+}
+
+TEST(SignService, DestructorCompletesQueuedFutures)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    SphincsPlus scheme(p);
+    auto msgs = patternBatch(6, 16);
+
+    std::vector<std::future<ByteVec>> futures;
+    {
+        ServiceConfig cfg;
+        cfg.workers = 2;
+        cfg.shards = 2;
+        SignService svc(t.store, cfg);
+        std::vector<batch::SignRequest> reqs;
+        for (const ByteVec &m : msgs)
+            reqs.push_back(signReq(m));
+        futures = svc.submitMany("tenant-0", reqs);
+        // No drain: the destructor must sign the queue, not fail it.
+    }
+    for (size_t i = 0; i < futures.size(); ++i)
+        EXPECT_EQ(futures[i].get(),
+                  scheme.sign(msgs[i], t.keys.at("tenant-0").sk))
+            << i;
+}
+
+TEST(SignService, MultiProducerStressWithRepeatedDrain)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    SphincsPlus scheme(p);
+    const sphincs::SecretKey &sk = t.keys.at("tenant-0").sk;
+
+    ServiceConfig cfg;
+    cfg.workers = 4;
+    cfg.shards = 4;
+    SignService svc(t.store, cfg);
+
+    // Many small submits from several producers, each with a
+    // completion callback.
+    constexpr unsigned producers = 4;
+    constexpr unsigned per_producer = 32;
+    std::atomic<unsigned> callbacks{0};
+    std::mutex fm;
+    std::vector<std::pair<ByteVec, std::future<ByteVec>>> results;
+    std::vector<std::thread> ps;
+    for (unsigned tid = 0; tid < producers; ++tid) {
+        ps.emplace_back([&, tid] {
+            for (unsigned i = 0; i < per_producer; ++i) {
+                ByteVec msg{static_cast<uint8_t>(tid),
+                            static_cast<uint8_t>(i)};
+                batch::SignRequest req = signReq(msg);
+                req.callback = [&](uint64_t, const ByteVec &) {
+                    callbacks.fetch_add(1);
+                };
+                auto fut = svc.submit("tenant-0", std::move(req));
+                std::lock_guard<std::mutex> lk(fm);
+                results.emplace_back(std::move(msg), std::move(fut));
+            }
+        });
+    }
+    for (auto &th : ps)
+        th.join();
+    svc.drain();
+
+    const unsigned total = producers * per_producer;
+    EXPECT_EQ(callbacks.load(), total);
+    ASSERT_EQ(results.size(), total);
+    for (size_t i = 0; i < results.size(); ++i) {
+        ByteVec sig = results[i].second.get();
+        EXPECT_EQ(hexEncode(sig),
+                  hexEncode(scheme.sign(results[i].first, sk)))
+            << i;
+        if (i % 16 == 0) {
+            EXPECT_TRUE(scheme.verify(results[i].first, sig,
+                                      t.keys.at("tenant-0").pk));
+        }
+    }
+    auto st = svc.stats();
+    EXPECT_EQ(st.signsCompleted, total);
+    EXPECT_EQ(st.signFailures, 0u);
+
+    // Repeated drain cycles under load: each drain waits for exactly
+    // what was submitted before it.
+    uint64_t expected = total;
+    for (unsigned round = 0; round < 5; ++round) {
+        std::vector<batch::SignRequest> reqs;
+        for (unsigned i = 0; i <= round; ++i)
+            reqs.push_back(signReq({static_cast<uint8_t>(round),
+                                    static_cast<uint8_t>(i), 0x5a}));
+        auto futures = svc.submitMany("tenant-0", reqs);
+        svc.drain();
+        expected += futures.size();
+        EXPECT_EQ(svc.pending(), 0u) << "round " << round;
+        EXPECT_EQ(svc.stats().signsCompleted, expected)
+            << "round " << round;
+        for (auto &f : futures)
+            EXPECT_EQ(f.get().size(), p.sigBytes());
+    }
+    EXPECT_EQ(expected, total + 15u);
+    EXPECT_EQ(svc.admission()->pendingTotal(), 0u);
 }

@@ -29,6 +29,8 @@
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceStats;
@@ -93,9 +95,9 @@ TEST(StatsConsistency, SignGaugesHoldExactIdentitiesUnderLoad)
         producers.emplace_back([&, t] {
             std::vector<std::future<ByteVec>> futs;
             for (unsigned i = 0; i < 16; ++i)
-                futs.push_back(svc.submitSign(
-                    "t0",
-                    patternMsg(16, static_cast<uint8_t>(t * 16 + i))));
+                futs.push_back(svc.submit(
+                    "t0", signReq(patternMsg(
+                              16, static_cast<uint8_t>(t * 16 + i)))));
             for (auto &f : futs)
                 f.get();
         });
@@ -142,7 +144,7 @@ TEST(StatsConsistency, VerifyGaugesHoldExactIdentitiesUnderLoad)
             std::vector<std::future<bool>> futs;
             for (unsigned i = 0; i < 16; ++i)
                 futs.push_back(
-                    svc.submitVerify("t0", fx.msg, fx.sig));
+                    svc.submit("t0", verifyReq(fx.msg, fx.sig)));
             for (auto &f : futs)
                 EXPECT_TRUE(f.get());
         });
@@ -245,9 +247,10 @@ TEST(StatsConsistency, SharedRegistryFabricMergeMatchesPlaneSums)
     std::vector<std::future<ByteVec>> sfuts;
     std::vector<std::future<bool>> vfuts;
     for (unsigned i = 0; i < 8; ++i) {
-        sfuts.push_back(sign_svc.submitSign(
-            "t0", patternMsg(16, static_cast<uint8_t>(i))));
-        vfuts.push_back(verify_svc.submitVerify("t0", fx.msg, fx.sig));
+        sfuts.push_back(sign_svc.submit(
+            "t0", signReq(patternMsg(16, static_cast<uint8_t>(i)))));
+        vfuts.push_back(
+            verify_svc.submit("t0", verifyReq(fx.msg, fx.sig)));
     }
     for (auto &f : sfuts)
         f.get();

@@ -4,8 +4,9 @@
  * sharing one ContextCache, StatsRegistry and AdmissionController
  * under multi-threaded mixed traffic. Asserts the ledger identities
  * that make the merged ServiceStats snapshot trustworthy, typed
- * overload rejection on every configured limit, and sync/async verify
- * verdict identity on all Table I parameter sets. This suite is a
+ * overload rejection on every configured limit, and async verify
+ * verdicts identical to the scalar verifier on all Table I parameter
+ * sets. This suite is a
  * primary target of the TSan CI job.
  */
 
@@ -26,6 +27,8 @@
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::AdmissionController;
 using service::AdmissionLimits;
 using service::KeyStore;
@@ -118,22 +121,25 @@ TEST(TrafficFabric, MixedStressKeepsLedgerIdentities)
                         std::to_string((t + i) % kTenants));
                 switch (i % 4) {
                 case 0:
-                    sfuts.push_back(sign_svc.submitSign(
-                        id, patternMsg(16, static_cast<uint8_t>(i))));
+                    sfuts.push_back(sign_svc.submit(
+                        id, signReq(patternMsg(
+                                16, static_cast<uint8_t>(i)))));
                     break;
                 case 1:
-                    vfuts.push_back(verify_svc.submitVerify(
-                        id, good[id].first, good[id].second));
+                    vfuts.push_back(verify_svc.submit(
+                        id,
+                        verifyReq(good[id].first, good[id].second)));
                     break;
                 case 2:
-                    vfuts.push_back(verify_svc.submitVerify(
-                        id, bad[id].first, bad[id].second));
+                    vfuts.push_back(verify_svc.submit(
+                        id, verifyReq(bad[id].first, bad[id].second)));
                     break;
                 default:
                     // Unknown tenant: rejects without throwing and
                     // must reconcile via unknownTenantRejects.
-                    vfuts.push_back(verify_svc.submitVerify(
-                        "ghost", good["t0"].first, good["t0"].second));
+                    vfuts.push_back(verify_svc.submit(
+                        "ghost", verifyReq(good["t0"].first,
+                                           good["t0"].second)));
                     break;
                 }
             }
@@ -298,28 +304,28 @@ TEST(TrafficFabric, ServicesRejectAgainstSharedBudget)
 
     ByteVec msg = patternMsg(16);
     ByteVec sig = fx.scheme.sign(msg, fx.keys.at("t0").sk);
-    EXPECT_THROW(sign_svc.submitSign("t0", msg), ServiceOverload);
-    EXPECT_THROW(verify_svc.submitVerify("t0", msg, sig),
+    EXPECT_THROW(sign_svc.submit("t0", signReq(msg)), ServiceOverload);
+    EXPECT_THROW(verify_svc.submit("t0", verifyReq(msg, sig)),
                  ServiceOverload);
     EXPECT_EQ(sign_svc.stats().signsRejected, 1u);
     EXPECT_EQ(verify_svc.stats().verifiesRejected, 1u);
-    // The synchronous verify path is admission-exempt: it runs on the
-    // caller's thread and holds no queue slot.
-    EXPECT_TRUE(verify_svc.verify("t0", msg, sig));
+    // Unknown tenants are admission-exempt: they resolve inline and
+    // hold no queue slot, so they still answer on a full budget.
+    EXPECT_FALSE(verify_svc.submit("ghost", verifyReq(msg, sig)).get());
 
     ac.release(Plane::Sign, blocker, 1);
-    EXPECT_TRUE(verify_svc.submitVerify("t0", msg, sig).get());
+    EXPECT_TRUE(verify_svc.submit("t0", verifyReq(msg, sig)).get());
     verify_svc.drain();
-    auto fut = sign_svc.submitSign("t0", msg);
+    auto fut = sign_svc.submit("t0", signReq(msg));
     EXPECT_EQ(fut.get().size(), fx.p.sigBytes());
     sign_svc.drain();
     EXPECT_EQ(ac.pendingTotal(), 0u);
 }
 
-TEST(TrafficFabric, AsyncVerifyMatchesSyncOnTableIParams)
+TEST(TrafficFabric, AsyncVerifyMatchesScalarOnTableIParams)
 {
-    // On every Table I parameter set, submitVerify() must return the
-    // exact verdict the synchronous path computes — for valid
+    // On every Table I parameter set, submit() must return the exact
+    // verdict scalar SphincsPlus::verify computes — for valid
     // signatures, a bit flip, a truncated signature and a wrong
     // message alike.
     for (const auto &p : sphincs::Params::all()) {
@@ -344,16 +350,15 @@ TEST(TrafficFabric, AsyncVerifyMatchesSyncOnTableIParams)
             {msg, sig}, {msg, flipped}, {msg, truncated},
             {wrong_msg, sig}};
         std::vector<std::future<bool>> futs;
-        std::vector<bool> sync_verdicts;
+        std::vector<bool> scalar_verdicts;
         for (const auto &[m, s] : cases) {
-            sync_verdicts.push_back(svc.verify(p.name, m, s));
-            futs.push_back(svc.submitVerify(p.name, ByteVec(m),
-                                            ByteVec(s)));
+            scalar_verdicts.push_back(scheme.verify(m, s, kp.pk));
+            futs.push_back(svc.submit(p.name, verifyReq(m, s)));
         }
         for (size_t i = 0; i < cases.size(); ++i)
-            EXPECT_EQ(futs[i].get(), sync_verdicts[i])
+            EXPECT_EQ(futs[i].get(), scalar_verdicts[i])
                 << p.name << " case " << i;
-        EXPECT_EQ(sync_verdicts,
+        EXPECT_EQ(scalar_verdicts,
                   (std::vector<bool>{true, false, false, false}))
             << p.name;
         svc.drain();

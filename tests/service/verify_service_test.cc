@@ -1,6 +1,6 @@
 /**
  * @file
- * VerifyService: batched multi-tenant verification agrees with the
+ * VerifyService: coalesced multi-tenant verification agrees with the
  * scalar verifier on valid, corrupted and unknown-tenant traffic, and
  * the shared stats registry unifies sign + verify counters.
  */
@@ -15,8 +15,9 @@
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
-using service::VerifyRequest;
 using service::VerifyService;
 using sphincs::SphincsPlus;
 
@@ -69,22 +70,21 @@ TEST(VerifyService, MixedTenantBatchMatchesScalar)
     sigs[5].pop_back();                     // truncated -> reject
     msgs[7][0] ^= 0x01;                     // message mismatch -> reject
 
-    std::vector<VerifyRequest> reqs;
+    // Interleaved tenants: the coalesced pass groups them per key.
+    std::vector<std::future<bool>> got;
     for (size_t i = 0; i < msgs.size(); ++i)
-        reqs.push_back(
-            VerifyRequest{ids[i], ByteSpan(msgs[i]), ByteSpan(sigs[i])});
-    auto got = svc.verifyBatch(reqs);
+        got.push_back(svc.submit(ids[i], verifyReq(msgs[i], sigs[i])));
 
-    ASSERT_EQ(got.size(), reqs.size());
     unsigned rejects = 0;
-    for (size_t i = 0; i < reqs.size(); ++i) {
+    for (size_t i = 0; i < got.size(); ++i) {
         const bool ref = fx.scheme.verify(msgs[i], sigs[i],
                                           fx.keys.at(ids[i]).pk);
-        EXPECT_EQ(got[i] != 0, ref) << "request " << i;
+        EXPECT_EQ(got[i].get(), ref) << "request " << i;
         if (!ref)
             ++rejects;
     }
     EXPECT_EQ(rejects, 4u);
+    svc.drain();
 
     auto st = svc.stats();
     EXPECT_EQ(st.verifies, 9u);
@@ -98,8 +98,11 @@ TEST(VerifyService, UnknownTenantRejectsWithoutThrowing)
 
     ByteVec msg = patternMsg(16);
     ByteVec sig = fx.scheme.sign(msg, fx.keys.at("t0").sk);
-    EXPECT_TRUE(svc.verify("t0", msg, sig));
-    EXPECT_FALSE(svc.verify("ghost", msg, sig));
+    EXPECT_TRUE(svc.submit("t0", verifyReq(msg, sig)).get());
+    std::future<bool> ghost;
+    EXPECT_NO_THROW(ghost = svc.submit("ghost", verifyReq(msg, sig)));
+    EXPECT_FALSE(ghost.get());
+    svc.drain();
 
     auto st = svc.stats();
     EXPECT_EQ(st.verifies, 2u);
@@ -122,23 +125,23 @@ TEST(VerifyService, UnknownTenantRejectsWithoutThrowing)
               st.verifyRejects);
 }
 
-TEST(VerifyService, SingleTenantConvenienceOverload)
+TEST(VerifyService, SubmitManyKeepsRequestOrder)
 {
     Fixture fx(1);
     VerifyService svc(fx.store);
 
-    std::vector<ByteVec> msgs, sigs;
+    std::vector<batch::VerifyRequest> reqs;
     for (unsigned i = 0; i < 5; ++i) {
-        msgs.push_back(patternMsg(24, i));
-        sigs.push_back(fx.scheme.sign(msgs.back(), fx.keys.at("t0").sk));
+        ByteVec msg = patternMsg(24, i);
+        ByteVec sig = fx.scheme.sign(msg, fx.keys.at("t0").sk);
+        reqs.push_back(verifyReq(std::move(msg), std::move(sig)));
     }
-    sigs[2][3] ^= 0x80;
-    auto ok = svc.verifyBatch("t0", msgs, sigs);
-    EXPECT_EQ(ok, (std::vector<uint8_t>{1, 1, 0, 1, 1}));
-
-    EXPECT_THROW(svc.verifyBatch("t0", msgs,
-                                 std::vector<ByteVec>(msgs.size() - 1)),
-                 std::invalid_argument);
+    reqs[2].signature[3] ^= 0x80;
+    auto futs = svc.submitMany("t0", reqs);
+    std::vector<bool> ok;
+    for (auto &f : futs)
+        ok.push_back(f.get());
+    EXPECT_EQ(ok, (std::vector<bool>{true, true, false, true, true}));
 }
 
 TEST(VerifyService, SharedCacheAndStatsWithSignService)
@@ -152,9 +155,10 @@ TEST(VerifyService, SharedCacheAndStatsWithSignService)
                              sign_svc.admission());
 
     ByteVec msg = patternMsg(20);
-    ByteVec sig = sign_svc.submitSign("t0", msg).get();
-    EXPECT_TRUE(verify_svc.verify("t0", msg, sig));
+    ByteVec sig = sign_svc.submit("t0", signReq(msg)).get();
+    EXPECT_TRUE(verify_svc.submit("t0", verifyReq(msg, sig)).get());
     sign_svc.drain();
+    verify_svc.drain();
 
     // One warm context serves both directions: the verify was a hit.
     auto cache = sign_svc.contextCache()->stats();

@@ -20,14 +20,16 @@
 #include <vector>
 
 #include "../batch/batch_test_util.hh"
+#include "prom_check.hh"
 #include "service/sign_service.hh"
 #include "service/verify_service.hh"
-#include "telemetry/prom_check.hh"
 #include "telemetry/reporter.hh"
 
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceStats;
@@ -74,11 +76,11 @@ runFabric(Fabric &fx)
     std::vector<std::future<ByteVec>> sfuts;
     std::vector<std::future<bool>> vfuts;
     for (unsigned i = 0; i < 12; ++i) {
-        sfuts.push_back(sign_svc.submitSign(
+        sfuts.push_back(sign_svc.submit(
             i % 2 ? "t0" : "t1",
-            patternMsg(16, static_cast<uint8_t>(i))));
+            signReq(patternMsg(16, static_cast<uint8_t>(i)))));
         vfuts.push_back(
-            verify_svc.submitVerify("t0", fx.msg, fx.sig));
+            verify_svc.submit("t0", verifyReq(fx.msg, fx.sig)));
     }
     for (auto &f : sfuts)
         f.get();

@@ -14,8 +14,8 @@
  *    with a count equal to the _count sample.
  */
 
-#ifndef HEROSIGN_TELEMETRY_PROM_CHECK_HH
-#define HEROSIGN_TELEMETRY_PROM_CHECK_HH
+#ifndef HEROSIGN_TESTS_TELEMETRY_PROM_CHECK_HH
+#define HEROSIGN_TESTS_TELEMETRY_PROM_CHECK_HH
 
 #include <cctype>
 #include <cstdint>
@@ -297,4 +297,4 @@ promCheck(const std::string &text)
 
 } // namespace herosign::telemetry
 
-#endif // HEROSIGN_TELEMETRY_PROM_CHECK_HH
+#endif // HEROSIGN_TESTS_TELEMETRY_PROM_CHECK_HH

@@ -32,12 +32,6 @@ TEST(KnobConfig, DefaultsEqualHandSetBaseline)
     EXPECT_EQ(s.verifyShards, hand.verifyShards);
     EXPECT_EQ(s.verifyCoalesce, hand.verifyCoalesce);
     EXPECT_EQ(s.contextCacheCapacity, hand.contextCacheCapacity);
-
-    const batch::BatchSignerConfig b = k.toBatchSignerConfig();
-    const batch::BatchSignerConfig hand_b;
-    EXPECT_EQ(b.workers, hand_b.workers);
-    EXPECT_EQ(b.shards, hand_b.shards);
-    EXPECT_EQ(b.laneGroup, hand_b.laneGroup);
 }
 
 TEST(KnobSpace, StandardSpaceIsWellFormed)

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "../batch/batch_test_util.hh"
-#include "batch/batch_signer.hh"
 #include "service/key_store.hh"
 #include "service/sign_service.hh"
 #include "sphincs/sphincs.hh"
@@ -22,7 +21,6 @@
 
 using namespace herosign;
 using batchtest::miniParams;
-using tune::BatchKnobOverrides;
 using tune::HostFingerprint;
 using tune::KnobConfig;
 using tune::Profile;
@@ -185,24 +183,10 @@ TEST(ProfileTest, OutOfRangeKnobsClampIdenticallyToDirectConfig)
     sphincs::SphincsPlus scheme(params);
     const auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(params));
 
-    // Batch plane: direct vs profile-loaded BatchSigner.
-    batch::BatchSignerConfig direct;
-    direct.workers = 0;
-    direct.shards = 0;
-    direct.laneGroup = 33;
-    batch::BatchSigner a(params, kp.sk, direct);
-    batch::BatchSigner b(params, kp.sk,
-                         batch::BatchSignerConfig::fromProfile(p));
-    EXPECT_EQ(a.workers(), b.workers());
-    EXPECT_EQ(a.shards(), b.shards());
-    EXPECT_EQ(a.laneGroup(), b.laneGroup());
-    EXPECT_EQ(b.workers(), 1u);
-    EXPECT_EQ(b.laneGroup(), 16u);
-
-    // Service plane: direct vs profile-loaded SignService. The
-    // profile path caps the sign window at the 16-lane lockstep
-    // bound (the largest group the scheduler signs in one pass), so
-    // the direct equivalent of an over-wide profile value is 16.
+    // Direct vs profile-loaded SignService. The profile path caps
+    // the sign window at the 16-lane lockstep bound (the largest
+    // group the scheduler signs in one pass), so the direct
+    // equivalent of an over-wide profile value is 16.
     service::KeyStore store;
     store.addKey("t", kp);
     service::ServiceConfig sdirect;
@@ -233,12 +217,6 @@ TEST(ProfileTest, UserOverridesAlwaysWin)
     // Un-overridden knobs still come from the profile.
     EXPECT_EQ(scfg.shards, p.config.signShards);
     EXPECT_EQ(scfg.verifyCoalesce, p.config.verifyCoalesce);
-
-    BatchKnobOverrides bu;
-    bu.laneGroup = 1;
-    const auto bcfg = batch::BatchSignerConfig::fromProfile(p, bu);
-    EXPECT_EQ(bcfg.laneGroup, 1u);
-    EXPECT_EQ(bcfg.workers, p.config.signWorkers);
 }
 
 TEST(ProfileTest, ActiveProfileHashIsProcessWide)
