@@ -64,8 +64,8 @@ makeBatch(Rng &rng, unsigned count)
 
 /**
  * Sequential scalar reference: one thread, no queue, duration-bounded
- * through the shared bench/tuner measurement helper (tune::measureFor)
- * but never fewer signatures than the batch the worker rows sign.
+ * through the shared bench measurement helper (bench::measureFor) but
+ * never fewer signatures than the batch the worker rows sign.
  */
 MeasureResult
 scalarSignRun(const SphincsPlus &scheme, const sphincs::SecretKey &sk,

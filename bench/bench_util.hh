@@ -10,6 +10,8 @@
 #define HEROSIGN_BENCH_BENCH_UTIL_HH
 
 #include <charconv>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,25 +19,96 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.hh"
 #include "core/engine.hh"
+#include "hash/sha256xN.hh"
 #include "telemetry/histogram.hh"
-#include "tune/measure.hh"
-#include "tune/profile.hh"
 
 namespace herosign::bench
 {
 
+/** Outcome of one measureFor() run. */
+struct MeasureResult
+{
+    uint64_t iters = 0; ///< operations completed inside the window
+    double wallUs = 0;  ///< measured wall clock of those operations
+
+    /** Operations per second (0 when nothing ran). */
+    double
+    opsPerSec() const
+    {
+        return wallUs > 0 ? iters * 1e6 / wallUs : 0.0;
+    }
+};
+
 /**
- * The shared duration-bounded measurement loop: run @p fn repeatedly
- * for ~seconds after a warmup, returning iterations and wall time.
- * This is the same helper the autotuner's TrialRunner times trials
- * with, so bench rows and tuning trials share one timing definition.
+ * The shared duration-bounded measurement loop: run @p fn in a closed
+ * loop for (at least) @p seconds of wall clock, after @p warmup_iters
+ * untimed warmup calls. At least one timed iteration always runs, so
+ * rates are never divided by zero and a single slow operation still
+ * yields its true cost.
  */
-using tune::measureFor;
-using tune::MeasureResult;
+template <typename Fn>
+MeasureResult
+measureFor(double seconds, unsigned warmup_iters, Fn &&fn)
+{
+    using clock = std::chrono::steady_clock;
+    for (unsigned i = 0; i < warmup_iters; ++i)
+        fn();
+    MeasureResult r;
+    const auto t0 = clock::now();
+    const auto deadline =
+        t0 + std::chrono::duration_cast<clock::duration>(
+                 std::chrono::duration<double>(seconds));
+    do {
+        fn();
+        ++r.iters;
+    } while (clock::now() < deadline);
+    r.wallUs = std::chrono::duration<double, std::micro>(clock::now() -
+                                                         t0)
+                   .count();
+    return r;
+}
+
+/**
+ * What makes a bench number host-specific: CPU model, core count and
+ * the SHA-256 lane dispatch tier. Recorded in every snapshot's
+ * __meta__ record so the trend differ can tell a regression from a
+ * host change.
+ */
+struct HostFingerprint
+{
+    std::string cpuModel = "unknown"; ///< /proc/cpuinfo "model name"
+    unsigned cores = 0; ///< std::thread::hardware_concurrency()
+    std::string dispatch; ///< "avx512" / "avx2" / "portable"
+
+    static HostFingerprint
+    current()
+    {
+        HostFingerprint fp;
+        fp.cores = std::thread::hardware_concurrency();
+        switch (laneDispatch().backend) {
+        case LaneBackend::Avx512: fp.dispatch = "avx512"; break;
+        case LaneBackend::Avx2: fp.dispatch = "avx2"; break;
+        case LaneBackend::Scalar: fp.dispatch = "portable"; break;
+        }
+        const std::string key = "model name";
+        std::ifstream cpuinfo("/proc/cpuinfo");
+        std::string line;
+        while (std::getline(cpuinfo, line)) {
+            if (line.rfind(key, 0) != 0)
+                continue;
+            const auto b = line.find_first_not_of(" \t:", key.size());
+            if (b != std::string::npos)
+                fp.cpuModel = line.substr(b);
+            break;
+        }
+        return fp;
+    }
+};
 
 /**
  * q-quantile (0..1) of @p lat_us, in milliseconds — computed through
@@ -151,10 +224,9 @@ emitJson(const std::string &path, const std::string &title,
     // First table into a file: lead with the host fingerprint, so
     // trend comparisons can tell a regression from a host change
     // (scripts/bench_trend.py warns instead of failing across
-    // differing fingerprints). profile_hash records the autotuner
-    // profile applied to this process, "" when untuned.
+    // differing fingerprints).
     if (rendered.empty()) {
-        const auto fp = tune::HostFingerprint::current("");
+        const auto fp = HostFingerprint::current();
         std::string meta;
         meta.append("  {\n    \"title\": \"__meta__\",\n"
                     "    \"fingerprint\": {\"cpu\": \"");
@@ -163,8 +235,6 @@ emitJson(const std::string &path, const std::string &title,
         meta.append(std::to_string(fp.cores));
         meta.append(", \"dispatch\": \"");
         meta.append(jsonEscape(fp.dispatch));
-        meta.append("\", \"profile_hash\": \"");
-        meta.append(jsonEscape(tune::activeProfileHash()));
         meta.append("\"}\n  }");
         rendered.push_back(std::move(meta));
     }

@@ -75,8 +75,8 @@ makeBatch(Rng &rng, unsigned count)
 
 /**
  * Scalar per-signature verification, duration-bounded through the
- * shared bench/tuner measurement helper (tune::measureFor). One
- * iteration verifies one signature.
+ * shared bench measurement helper (bench::measureFor). One iteration
+ * verifies one signature.
  */
 MeasureResult
 scalarVerifyRun(const SphincsPlus &scheme, const sphincs::PublicKey &pk,

@@ -54,10 +54,8 @@ LATENCY_RE = re.compile(r"p99\s*ms", re.IGNORECASE)
 # table; used to decide whether two snapshots are comparable at all.
 META_TITLE = "__meta__"
 
-# Fingerprint fields that make measurements host-specific. The
-# profile_hash (which autotuner profile was applied) is reported but
-# not part of comparability: a tuning change on the same host is a
-# legitimate, gateable perf change.
+# Fingerprint fields that make measurements host-specific. Any other
+# fingerprint field is ignored for comparability.
 HOST_FP_FIELDS = ("cpu", "cores", "dispatch")
 
 
@@ -214,13 +212,6 @@ def run_diff(baseline_path, current_path, threshold):
         if diffs:
             demote = "differing host fingerprints (" + \
                 "; ".join(diffs) + ")"
-        elif (base_fp.get("profile_hash") or "") != \
-                (cur_fp.get("profile_hash") or ""):
-            notes.append(
-                f"autotune profile changed between snapshots "
-                f"({base_fp.get('profile_hash')!r} -> "
-                f"{cur_fp.get('profile_hash')!r}); same host, so "
-                f"still gated")
 
     for n in notes:
         print(f"note: {n}")
@@ -397,10 +388,10 @@ def self_test():
     # --- Host-fingerprint handling (__meta__ pseudo-table) ---
     fp_a = {"title": META_TITLE,
             "fingerprint": {"cpu": "Xeon 2.10GHz", "cores": 1,
-                            "dispatch": "avx512", "profile_hash": ""}}
+                            "dispatch": "avx512"}}
     fp_b = {"title": META_TITLE,
             "fingerprint": {"cpu": "EPYC 3.00GHz", "cores": 64,
-                            "dispatch": "avx2", "profile_hash": ""}}
+                            "dispatch": "avx2"}}
 
     # The __meta__ entry is stripped, never diffed as a table.
     cur = [copy.deepcopy(fp_a)] + copy.deepcopy(base)
@@ -412,7 +403,7 @@ def self_test():
                                fp_b["fingerprint"]) != [] and
           fingerprint_mismatch(fp_a["fingerprint"],
                                dict(fp_a["fingerprint"],
-                                    profile_hash="deadbeef")) == [])
+                                    build="deadbeef")) == [])
 
     # End-to-end through real files and the CLI path.
     with tempfile.TemporaryDirectory() as td:
@@ -443,14 +434,6 @@ def self_test():
         # conservative default is to gate normally.
         a.write_text(json.dumps(base))
         check("regression with one-sided fingerprint still fails",
-              run_diff(str(a), str(b), 0.10) == 1)
-
-        # Profile-hash-only change on the same host: gated, noted.
-        a.write_text(json.dumps([fp_a] + base))
-        tuned_fp = copy.deepcopy(fp_a)
-        tuned_fp["fingerprint"]["profile_hash"] = "deadbeef"
-        b.write_text(json.dumps([tuned_fp] + worse))
-        check("profile change on same host still gates",
               run_diff(str(a), str(b), 0.10) == 1)
 
     if failures:

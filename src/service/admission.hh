@@ -20,12 +20,6 @@
 #include "hash/sha256.hh"
 #include "service/service_stats.hh"
 
-namespace herosign::tune
-{
-struct Profile;
-struct ServiceKnobOverrides;
-} // namespace herosign::tune
-
 namespace herosign::service
 {
 
@@ -56,7 +50,38 @@ class ServiceOverload : public std::runtime_error
     Kind kind_;
 };
 
-/** Construction-time knobs shared by the serving-layer services. */
+/**
+ * Construction-time knobs shared by the serving-layer services.
+ *
+ * The serving defaults, and why each was chosen (reference host:
+ * 4 cores, AVX-512, so the hash-lane width is 16):
+ *  - 4 sign workers on 4 shards: one worker per core. Signing is
+ *    CPU-bound, so more workers than cores only time-slice, and one
+ *    shard per worker keeps producers off a single queue lock.
+ *  - 2 verify workers on 2 shards: a verification costs about 1/20
+ *    of a signature's compressions (192f: 9.8k vs 190.5k), so two
+ *    workers keep up with mixed traffic and leave most cores to the
+ *    sign plane.
+ *  - Sign window = the lane width (signCoalesce = 0, resolved to
+ *    LaneScheduler::preferredGroup()): one coalesced group fills
+ *    every hash lane once.
+ *  - Verify window = 4 x the lane width (fixed): one drained chunk
+ *    fills whole lane groups for several tenants at once without
+ *    starving sibling workers.
+ *  - 64 cached contexts: covers the tenants of every workload (the
+ *    benches and perfbench drive at most 8), so the steady state never
+ *    rebuilds a context.
+ *
+ * A simulated-annealing search over the pool, window and cache knobs
+ * did not beat them. Its profiles were timed against these defaults
+ * in alternating pairs of 2 s closed-loop runs (4 tenants, 2
+ * producers, mixed sign+verify) on that host:
+ *  - 128f, 90 s search, w2/s4/c8 vw2/vs4/vc64 cap256 (workers/shards/
+ *    window per plane, then cache): tuned/default median 0.995 (IQR
+ *    0.949-1.014), 5 wins of 12 pairs.
+ *  - 192f, 60 s search, w4/s4/c4 vw2/vs4/vc32 cap4: median 0.998
+ *    (IQR 0.946-1.013), 5 wins of 10 pairs.
+ */
 struct ServiceConfig
 {
     unsigned workers = 4;  ///< sign worker threads (clamped to >= 1)
@@ -68,11 +93,6 @@ struct ServiceConfig
     unsigned signCoalesce = 0;
     unsigned verifyWorkers = 2; ///< verify worker threads (>= 1)
     unsigned verifyShards = 2;  ///< verify queue shards (>= 1)
-    /// Max queued requests one verify worker coalesces into a single
-    /// per-tenant-grouped pass; 0 = auto (4x the dispatched hash-lane
-    /// width, so mixed traffic from a handful of tenants still fills
-    /// whole lane groups).
-    unsigned verifyCoalesce = 0;
     size_t contextCacheCapacity = 64; ///< warm per-key contexts kept
     /// Reject sign submits once this many sign jobs are pending
     /// (0 = unbounded).
@@ -98,18 +118,6 @@ struct ServiceConfig
     /// registry is passed in, the registry's own telemetry
     /// configuration wins.
     telemetry::TelemetryConfig telemetry;
-
-    /**
-     * The recommended construction path on a tuned host: the knobs a
-     * persisted autotuner profile recorded, clamped exactly like
-     * directly-set values (see tune::KnobSpace::clamp). The overload
-     * taking ServiceKnobOverrides lets explicitly user-set knobs win
-     * over the profile unconditionally. Defined in src/tune/.
-     */
-    static ServiceConfig fromProfile(const tune::Profile &p);
-    static ServiceConfig
-    fromProfile(const tune::Profile &p,
-                const tune::ServiceKnobOverrides &user);
 };
 
 /** The pending-job limits an AdmissionController enforces. */

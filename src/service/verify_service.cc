@@ -8,9 +8,9 @@ namespace herosign::service
 namespace
 {
 
-/// Auto coalescing window: a few lane widths, so a chunk drained from
-/// the queue by one worker can fill whole lane groups for several
-/// tenants at once without starving sibling workers.
+/// Coalescing window: a few lane widths, so a chunk drained from the
+/// queue by one worker can fill whole lane groups for several tenants
+/// at once without starving sibling workers.
 constexpr unsigned kCoalesceLaneFactor = 4;
 
 PlaneShape
@@ -19,9 +19,7 @@ verifyShape(const ServiceConfig &config)
     PlaneShape shape;
     shape.workers = config.verifyWorkers;
     shape.shards = config.verifyShards;
-    shape.window = config.verifyCoalesce > 0
-                       ? config.verifyCoalesce
-                       : kCoalesceLaneFactor * sphincs::hashLaneWidth();
+    shape.window = kCoalesceLaneFactor * sphincs::hashLaneWidth();
     // One verifyBatch per warm context in a pass, however large.
     shape.maxGroup = shape.window;
     return shape;

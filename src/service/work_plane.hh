@@ -384,10 +384,12 @@ class WorkPlane
             } catch (...) {
                 // Supervision: fail only this pass's unsettled jobs
                 // (returning their slots), then keep running — an
-                // in-place restart that never shrinks the pool.
+                // in-place restart that never shrinks the pool. The
+                // restart is counted first, so a drain() that returns
+                // after these failures also sees it in snapshot().
+                restarts_.fetch_add(1, std::memory_order_relaxed);
                 for (Job &j : pass)
                     fail(j, std::current_exception());
-                restarts_.fetch_add(1, std::memory_order_relaxed);
             }
         }
     }

@@ -2,9 +2,10 @@
  * @file
  * SignService: multi-tenant routing correctness (byte-identical to
  * the scalar per-key path on every Table I set and at any worker
- * count), the no-per-sign-Context-construction guarantee, admission
- * control, graceful teardown, multi-producer stress and the unified
- * stats surface.
+ * count), the no-per-sign-Context-construction guarantee, config
+ * clamping and the default coalescing windows, admission control,
+ * graceful teardown, multi-producer stress and the unified stats
+ * surface.
  */
 
 #include <gtest/gtest.h>
@@ -16,19 +17,24 @@
 #include <thread>
 
 #include "../batch/batch_test_util.hh"
+#include "batch/lane_scheduler.hh"
 #include "common/hex.hh"
 #include "service/sign_service.hh"
+#include "service/verify_service.hh"
 #include "sphincs/sphincs.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternBatch;
 using batchtest::patternMsg;
 using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceOverload;
 using service::SignService;
+using service::VerifyService;
 using sphincs::Context;
 using sphincs::SphincsPlus;
 
@@ -317,6 +323,46 @@ TEST(SignService, SharedCacheAcrossServices)
     auto st = cache->stats();
     EXPECT_EQ(st.misses, 1u); // b reused a's warm context
     EXPECT_EQ(st.hits, 1u);
+}
+
+// Every pool knob at 0 clamps to one worker and a one-entry cache on
+// both planes, and the pair still signs and verifies exactly like the
+// scalar reference. The default config's coalescing windows are
+// pinned too: one lane group per sign pass, 4 lane widths per verify
+// pass.
+TEST(SignService, AllZeroPoolKnobsClampAndDefaultWindowsHold)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    const auto &kp = t.keys.at("tenant-0");
+
+    ServiceConfig zero;
+    zero.workers = 0;
+    zero.shards = 0;
+    zero.verifyWorkers = 0;
+    zero.verifyShards = 0;
+    zero.contextCacheCapacity = 0;
+    SignService sign(t.store, zero);
+    VerifyService verify(t.store, zero);
+    EXPECT_EQ(sign.workers(), 1u);
+    EXPECT_EQ(verify.workers(), 1u);
+    EXPECT_EQ(sign.contextCache()->capacity(), 1u);
+    EXPECT_EQ(verify.contextCache()->capacity(), 1u);
+
+    SphincsPlus scheme(p);
+    const ByteVec msg = patternMsg(40, 7);
+    const ByteVec sig = sign.submit("tenant-0", signReq(msg)).get();
+    EXPECT_EQ(hexEncode(sig), hexEncode(scheme.sign(msg, kp.sk)));
+    EXPECT_EQ(verify.submit("tenant-0", verifyReq(msg, sig)).get(),
+              scheme.verify(msg, sig, kp.pk));
+    EXPECT_TRUE(scheme.verify(msg, sig, kp.pk));
+
+    SignService dsign(t.store, ServiceConfig{});
+    VerifyService dverify(t.store, ServiceConfig{});
+    EXPECT_EQ(dsign.coalesceWindow(),
+              batch::LaneScheduler::preferredGroup());
+    EXPECT_EQ(dverify.coalesceWindow(), 4 * sphincs::hashLaneWidth());
 }
 
 TEST(SignService, ByteMatchesScalarForEveryTableISet)
