@@ -179,7 +179,6 @@ main(int argc, char **argv)
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             ServiceConfig cfg;
             cfg.workers = workers;
-            cfg.shards = engine.config().streams;
             const ServiceStats st = serviceRun(store, msgs, cfg);
             table.addRow(
                 {p.name,
@@ -235,7 +234,6 @@ main(int argc, char **argv)
                 for (bool cross : {false, true}) {
                     ServiceConfig cfg;
                     cfg.workers = workers;
-                    cfg.shards = 4;
                     // signCoalesce 1 pins the within-signature path;
                     // 0 coalesces up to the dispatched lane width.
                     cfg.signCoalesce = cross ? 0 : 1;

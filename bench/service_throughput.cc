@@ -244,7 +244,6 @@ main(int argc, char **argv)
     for (unsigned workers : {1u, 4u}) {
         ServiceConfig cfg;
         cfg.workers = workers;
-        cfg.shards = workers;
         const uint64_t ctx0 = Context::constructionCount();
         SignService svc(store, cfg);
         std::vector<std::future<ByteVec>> futs;
@@ -282,7 +281,6 @@ main(int argc, char **argv)
     for (const bool guard : {false, true}) {
         ServiceConfig cfg;
         cfg.workers = 2;
-        cfg.shards = 2;
         cfg.verifyAfterSign = guard;
         SignService svc(store, cfg);
         std::vector<std::future<ByteVec>> futs;
@@ -331,9 +329,7 @@ main(int argc, char **argv)
 
     ServiceConfig mcfg;
     mcfg.workers = 2;
-    mcfg.shards = 2;
     mcfg.verifyWorkers = 2;
-    mcfg.verifyShards = 2;
     {
         SignService ssvc(store, mcfg);
         VerifyService vsvc(store, mcfg, ssvc.contextCache(),

@@ -68,7 +68,6 @@ measureThreadedKops(const Params &p, bool force_scalar, bool no_avx512,
 
     service::ServiceConfig cfg;
     cfg.workers = workers;
-    cfg.shards = 4;
     service::SignService svc(store, cfg);
     svc.submit("k", {rng.bytes(64), {}, {}, {}}).get();
     const auto t0 = std::chrono::steady_clock::now();

@@ -7,7 +7,7 @@
 #   ./ci.sh                              # tier-1: configure+build+ctest
 #   SANITIZE=address,undefined ./ci.sh   # instrumented build+suite,
 #                                        # in its own build dir
-#   SANITIZE=thread CTEST_REGEX='batch|queue|service|fabric' ./ci.sh
+#   SANITIZE=thread CTEST_REGEX='batch|service|fabric' ./ci.sh
 #                                        # TSan over the threaded
 #                                        # suites only
 #   BUILD_TYPE=Debug ./ci.sh             # CI matrix entry

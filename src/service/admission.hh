@@ -55,13 +55,16 @@ class ServiceOverload : public std::runtime_error
  *
  * The serving defaults, and why each was chosen (reference host:
  * 4 cores, AVX-512, so the hash-lane width is 16):
- *  - 4 sign workers on 4 shards: one worker per core. Signing is
- *    CPU-bound, so more workers than cores only time-slice, and one
- *    shard per worker keeps producers off a single queue lock.
- *  - 2 verify workers on 2 shards: a verification costs about 1/20
- *    of a signature's compressions (192f: 9.8k vs 190.5k), so two
- *    workers keep up with mixed traffic and leave most cores to the
- *    sign plane.
+ *  - 4 sign workers: one worker per core. Signing is CPU-bound, so
+ *    more workers than cores only time-slice. Each plane's workers
+ *    drain one locked FIFO: no benchmark workload moves more than
+ *    about 2.4k jobs/s through a plane (batch-256f: about 2,200
+ *    verifies/s and 130 signs/s), far below the rate at which one
+ *    mutex contends.
+ *  - 2 verify workers: a verification costs about 1/20 of a
+ *    signature's compressions (192f: 9.8k vs 190.5k), so two workers
+ *    keep up with mixed traffic and leave most cores to the sign
+ *    plane.
  *  - Sign window = the lane width (signCoalesce = 0, resolved to
  *    LaneScheduler::preferredGroup()): one coalesced group fills
  *    every hash lane once.
@@ -76,8 +79,9 @@ class ServiceOverload : public std::runtime_error
  * did not beat them. Its profiles were timed against these defaults
  * in alternating pairs of 2 s closed-loop runs (4 tenants, 2
  * producers, mixed sign+verify) on that host:
- *  - 128f, 90 s search, w2/s4/c8 vw2/vs4/vc64 cap256 (workers/shards/
- *    window per plane, then cache): tuned/default median 0.995 (IQR
+ *  - 128f, 90 s search, w2/s4/c8 vw2/vs4/vc64 cap256 (workers/
+ *    sub-queues/window per plane, then cache; the sub-queue knobs
+ *    were removed later): tuned/default median 0.995 (IQR
  *    0.949-1.014), 5 wins of 12 pairs.
  *  - 192f, 60 s search, w4/s4/c4 vw2/vs4/vc32 cap4: median 0.998
  *    (IQR 0.946-1.013), 5 wins of 10 pairs.
@@ -85,14 +89,12 @@ class ServiceOverload : public std::runtime_error
 struct ServiceConfig
 {
     unsigned workers = 4;  ///< sign worker threads (clamped to >= 1)
-    unsigned shards = 4;   ///< sign queue shards (clamped to >= 1)
     /// Queued sign jobs one worker coalesces per pass; same-context
     /// (same-tenant) runs sign as one cross-signature lane group.
     /// 0 = auto (the dispatched hash-lane width); 1 disables
     /// coalescing.
     unsigned signCoalesce = 0;
     unsigned verifyWorkers = 2; ///< verify worker threads (>= 1)
-    unsigned verifyShards = 2;  ///< verify queue shards (>= 1)
     size_t contextCacheCapacity = 64; ///< warm per-key contexts kept
     /// Reject sign submits once this many sign jobs are pending
     /// (0 = unbounded).

@@ -22,7 +22,6 @@ signShape(const ServiceConfig &config)
 {
     PlaneShape shape;
     shape.workers = config.workers;
-    shape.shards = config.shards;
     shape.window = config.signCoalesce == 0
                        ? LaneScheduler::preferredGroup()
                        : config.signCoalesce;

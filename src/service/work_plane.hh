@@ -1,18 +1,21 @@
 /**
  * @file
  * WorkPlane: the worker plane under both serving front ends — one
- * sharded MPMC queue plus the worker pool that drains it. SignService
- * and VerifyService each own one. The plane does everything the two
- * have in common; a service supplies only its submit-time validation
- * and routing plus one process(group) step.
+ * locked FIFO plus the worker pool that drains it. SignService and
+ * VerifyService each own one. The plane does everything the two have
+ * in common; a service supplies only its submit-time validation and
+ * routing plus one process(group) step.
  *
  * The plane owns:
+ *  - the FIFO: a mutex, a condition variable, a deque and a closed
+ *    flag; idle workers wait on it untimed (ServiceConfig says why
+ *    one lock is enough);
  *  - worker launch and join (a failed launch joins what started);
  *  - shutdown: destruction drains queued jobs gracefully, while
  *    close() fast-fails them with ServiceShutdown;
  *  - the greedy coalescing window: a worker blocks for one job, then
- *    takes whatever else is already queued, up to the window — it
- *    never waits for more;
+ *    takes whatever else is already queued, up to the window, in the
+ *    same lock hold — it never waits for more;
  *  - the queue-stall and worker-throw fault seams, once per pass;
  *  - supervision: an exception escaping a pass fails only that
  *    pass's unsettled jobs and counts one restart;
@@ -25,7 +28,7 @@
  *    and the telemetry record;
  *  - the submitted/completed ledger with its rate epoch, drain(),
  *    pending() and a snapshot in which submitted - completed is the
- *    exact in-flight count.
+ *    exact in-flight count and queueDepth the exact queued count.
  */
 
 #ifndef HEROSIGN_SERVICE_WORK_PLANE_HH
@@ -35,6 +38,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <future>
 #include <memory>
@@ -45,7 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "batch/mpmc_queue.hh"
 #include "batch/sign_request.hh"
 #include "common/errors.hh"
 #include "common/fault.hh"
@@ -84,7 +87,6 @@ struct PlaneJob
 struct PlaneShape
 {
     unsigned workers = 1;  ///< worker threads (clamped to >= 1)
-    unsigned shards = 1;   ///< queue shards (clamped to >= 1)
     unsigned window = 1;   ///< jobs one worker takes per pass (>= 1)
     unsigned maxGroup = 1; ///< largest group given to process() (>= 1)
 };
@@ -103,7 +105,7 @@ struct PlaneSnapshot
 };
 
 /**
- * A sharded queue plus worker pool running @p Job through
+ * A locked FIFO plus worker pool running @p Job through
  * `Owner::process(std::span<Job *const> group)`. Every group holds
  * live (unsettled) jobs that share one warm context; process() must
  * settle each member through finish(), finishGroup() or fail().
@@ -127,19 +129,18 @@ class WorkPlane
               const PlaneShape &shape, telemetry::Telemetry &tel,
               AdmissionController &admission)
         : owner_(owner), plane_(plane), name_(name), tel_(tel),
-          admission_(admission), queue_(shape.shards),
-          window_(std::max(shape.window, 1u)),
+          admission_(admission), window_(std::max(shape.window, 1u)),
           maxGroup_(std::max(shape.maxGroup, 1u))
     {
         const unsigned n = std::max(shape.workers, 1u);
         workers_.reserve(n);
         try {
             for (unsigned i = 0; i < n; ++i)
-                workers_.emplace_back([this, i] { workerLoop(i); });
+                workers_.emplace_back([this] { workerLoop(); });
         } catch (...) {
             // A failed launch (thread limit) must not leave joinable
             // threads behind: destroying one calls std::terminate.
-            queue_.close();
+            closeQueue();
             join();
             throw;
         }
@@ -148,7 +149,7 @@ class WorkPlane
     /** Graceful: every queued job is processed before the join. */
     ~WorkPlane()
     {
-        queue_.close();
+        closeQueue();
         join();
     }
 
@@ -164,7 +165,7 @@ class WorkPlane
     close()
     {
         closing_.store(true, std::memory_order_release);
-        queue_.close();
+        closeQueue();
         join();
     }
 
@@ -207,7 +208,17 @@ class WorkPlane
             route(job);
             auto fut = job.promise.get_future();
             tel_.stamp(job.trace, telemetry::Stage::Admit);
-            queue_.push(std::move(job));
+            {
+                // The closed flag is read under the lock the workers
+                // take to find the queue drained, so an accepted job
+                // is always processed.
+                std::lock_guard<std::mutex> lk(queueM_);
+                if (queueClosed_)
+                    throw ServiceShutdown(std::string(name_) +
+                                          ": submit after close()");
+                queue_.push_back(std::move(job));
+            }
+            queueCv_.notify_one();
             return fut;
         } catch (...) {
             // Keep the per-tenant identity submitted == completed +
@@ -324,11 +335,14 @@ class WorkPlane
         // ledgerM_, so holding it freezes submitted/completed. Every
         // job still queued is submitted and not completed, so
         // queueDepth <= submitted - completed holds too. (No thread
-        // takes ledgerM_ while holding a queue shard mutex.)
+        // takes ledgerM_ while holding queueM_.)
         std::lock_guard<std::mutex> lk(ledgerM_);
         s.submitted = submitted_.load(std::memory_order_acquire);
         s.completed = completed_.load(std::memory_order_acquire);
-        s.queueDepth = queue_.sizeApprox();
+        {
+            std::lock_guard<std::mutex> q(queueM_);
+            s.queueDepth = queue_.size();
+        }
         if (epochOpen_ && s.completed > 0)
             s.wallUs = std::chrono::duration<double, std::micro>(
                            lastCompletion_ - epochStart_)
@@ -355,24 +369,48 @@ class WorkPlane
         }
     }
 
+    /** Refuse further pushes and wake every idle worker. */
     void
-    workerLoop(unsigned id)
+    closeQueue()
     {
-        const unsigned home = id % queue_.shards();
+        {
+            std::lock_guard<std::mutex> lk(queueM_);
+            queueClosed_ = true;
+        }
+        queueCv_.notify_all();
+    }
+
+    /**
+     * Block until a job is queued or the queue is closed, then move
+     * up to window_ jobs into @p pass in the same lock hold.
+     * @return false once the queue is closed and drained
+     */
+    bool
+    takePass(std::vector<Job> &pass)
+    {
+        pass.clear();
+        std::unique_lock<std::mutex> lk(queueM_);
+        queueCv_.wait(lk, [&] { return !queue_.empty() || queueClosed_; });
+        // Coalesce whatever is already queued — never wait for more:
+        // an idle queue runs the single job at once.
+        while (!queue_.empty() && pass.size() < window_) {
+            pass.push_back(std::move(queue_.front()));
+            queue_.pop_front();
+        }
+        return !pass.empty();
+    }
+
+    void
+    workerLoop()
+    {
         std::vector<Job> pass;
         std::vector<Job *> live, group;
         pass.reserve(window_);
         live.reserve(window_);
         group.reserve(std::min(window_, maxGroup_));
-        Job job;
-        while (queue_.pop(job, home)) {
-            // Coalesce whatever is already queued — never wait for
-            // more: an idle queue runs the single job at once.
-            pass.clear();
-            do {
+        while (takePass(pass)) {
+            for (Job &job : pass)
                 tel_.stamp(job.trace, telemetry::Stage::Dequeue);
-                pass.push_back(std::move(job));
-            } while (pass.size() < window_ && queue_.tryPop(job, home));
 
             try {
                 if (FaultInjector::fire(FaultPoint::QueueStall))
@@ -501,7 +539,6 @@ class WorkPlane
     const char *const name_;
     telemetry::Telemetry &tel_;
     AdmissionController &admission_;
-    batch::ShardedMpmcQueue<Job> queue_;
     const unsigned window_;
     const unsigned maxGroup_;
 
@@ -512,6 +549,12 @@ class WorkPlane
     std::atomic<uint64_t> rejected_{0};
     std::atomic<uint64_t> expired_{0};
     std::atomic<uint64_t> restarts_{0};
+
+    // The FIFO the workers drain, guarded by queueM_.
+    mutable std::mutex queueM_;
+    std::condition_variable queueCv_;
+    std::deque<Job> queue_;
+    bool queueClosed_ = false;
 
     // The ledger's rate epoch, guarded by ledgerM_.
     mutable std::mutex ledgerM_;

@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <map>
-#include <optional>
 #include <string>
 
 namespace herosign::telemetry
@@ -41,8 +40,6 @@ struct TelemetryConfig
     unsigned sampleEvery = 64;
     /// TraceRecorder ring capacity (spans retained).
     size_t traceCapacity = 1024;
-    /// Histogram writer shards; 0 = auto from hardware concurrency.
-    unsigned histogramShards = 0;
 };
 
 /** Everything known about one finished request, for complete(). */
@@ -126,14 +123,7 @@ class Telemetry
   private:
     struct PlaneSinks
     {
-        explicit PlaneSinks(unsigned shards)
-            : groupSize(shards), laneFillPct(shards)
-        {
-            for (auto &h : stages)
-                h.emplace(shards);
-        }
-
-        std::optional<LatencyHistogram> stages[kStageMetricCount];
+        LatencyHistogram stages[kStageMetricCount];
         LatencyHistogram groupSize;
         LatencyHistogram laneFillPct;
         std::atomic<uint64_t> sampleTick{0};

@@ -70,7 +70,6 @@ TEST(SignService, RoutesTenantsByteIdentically)
 
     ServiceConfig cfg;
     cfg.workers = 3;
-    cfg.shards = 2;
     SignService svc(t.store, cfg);
 
     // Interleave tenants so routing actually multiplexes.
@@ -118,7 +117,6 @@ TEST(SignService, RequestStructsCarryOptRandAndCallbacks)
 
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     cfg.signCoalesce = 0; // auto: coalescing active
     SignService svc(t.store, cfg);
 
@@ -339,9 +337,7 @@ TEST(SignService, AllZeroPoolKnobsClampAndDefaultWindowsHold)
 
     ServiceConfig zero;
     zero.workers = 0;
-    zero.shards = 0;
     zero.verifyWorkers = 0;
-    zero.verifyShards = 0;
     zero.contextCacheCapacity = 0;
     SignService sign(t.store, zero);
     VerifyService verify(t.store, zero);
@@ -375,7 +371,6 @@ TEST(SignService, ByteMatchesScalarForEveryTableISet)
 
         ServiceConfig cfg;
         cfg.workers = 3;
-        cfg.shards = 2;
         SignService svc(store, cfg);
 
         auto msgs = patternBatch(3);
@@ -418,7 +413,6 @@ TEST(SignService, WorkerCountInvariance1v8)
     for (unsigned workers : {1u, 8u}) {
         ServiceConfig cfg;
         cfg.workers = workers;
-        cfg.shards = workers == 1 ? 1 : 4;
         SignService svc(t.store, cfg);
         std::vector<batch::SignRequest> reqs;
         for (const ByteVec &m : msgs)
@@ -485,7 +479,6 @@ TEST(SignService, DestructorCompletesQueuedFutures)
     {
         ServiceConfig cfg;
         cfg.workers = 2;
-        cfg.shards = 2;
         SignService svc(t.store, cfg);
         std::vector<batch::SignRequest> reqs;
         for (const ByteVec &m : msgs)
@@ -509,7 +502,6 @@ TEST(SignService, MultiProducerStressWithRepeatedDrain)
 
     ServiceConfig cfg;
     cfg.workers = 4;
-    cfg.shards = 4;
     SignService svc(t.store, cfg);
 
     // Many small submits from several producers, each with a

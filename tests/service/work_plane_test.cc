@@ -4,9 +4,9 @@
  * the machinery both serving planes share is pinned on its own — the
  * coalescing window that never waits for more jobs, close() fast-fail
  * vs graceful teardown, dequeue-time deadline drops, supervision of
- * escaped exceptions, and the exact ledger snapshot under concurrent
- * producers. Cheap enough to run under every sanitizer (a TSan
- * target).
+ * escaped exceptions, wakeups of idle workers, and the exact ledger
+ * snapshot under concurrent producers. Cheap enough to run under
+ * every sanitizer (a TSan target).
  */
 
 #include <gtest/gtest.h>
@@ -129,7 +129,6 @@ shape(unsigned workers, unsigned window, unsigned max_group)
 {
     PlaneShape s;
     s.workers = workers;
-    s.shards = 1;
     s.window = window;
     s.maxGroup = max_group;
     return s;
@@ -227,6 +226,19 @@ TEST_F(WorkPlaneTest, CloseFailsQueuedJobsWithServiceShutdown)
     EXPECT_EQ(echo.admission.pendingTotal(), 0u);
     EXPECT_THROW(echo.submit(7), ServiceShutdown);
     EXPECT_EQ(echo.plane.snapshot().submitted, 6u);
+
+    // A producer that passed checkOpen() just before close() began
+    // still reaches the queue: the push refuses it, and the ledger
+    // and the admission budget stay balanced.
+    EXPECT_THROW(echo.plane.submit(echo.tenant, "t",
+                                   [](EchoJob &job) { job.value = 8; }),
+                 ServiceShutdown);
+    const PlaneSnapshot raced = echo.plane.snapshot();
+    EXPECT_EQ(raced.submitted, 7u);
+    EXPECT_EQ(raced.completed, 7u);
+    EXPECT_EQ(raced.failures, 6u);
+    EXPECT_EQ(echo.tenant.signFailures.load(), 6u);
+    EXPECT_EQ(echo.admission.pendingTotal(), 0u);
 }
 
 TEST_F(WorkPlaneTest, DestructionCompletesQueuedJobs)
@@ -321,11 +333,30 @@ TEST_F(WorkPlaneTest, SupervisionFailsOnlyUnsettledJobsOfThePass)
     EXPECT_EQ(echo.admission.pendingTotal(), 0u);
 }
 
+// Idle workers wait on the queue without a timeout, so a lost wakeup
+// fails a round's 30 s wait here.
+TEST_F(WorkPlaneTest, IdleWorkersWakeForEveryJob)
+{
+    constexpr int kRounds = 2000;
+    Echo echo(shape(4, 4, 4));
+    for (int i = 0; i < kRounds; ++i) {
+        auto f = echo.submit(i);
+        ASSERT_EQ(f.wait_for(30s), std::future_status::ready) << i;
+        ASSERT_EQ(f.get(), 2 * i);
+    }
+    // The plane is idle: close() must wake every parked worker, or
+    // its join never returns.
+    echo.plane.close();
+    const PlaneSnapshot s = echo.plane.snapshot();
+    EXPECT_EQ(s.completed, static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(s.failures, 0u);
+}
+
 TEST_F(WorkPlaneTest, SnapshotLedgerStaysExactUnderFourProducers)
 {
     constexpr unsigned kProducers = 4;
     constexpr int kPerProducer = 500;
-    Echo echo(shape(2, 4, 4));
+    Echo echo(shape(4, 4, 4));
 
     std::atomic<bool> stop{false};
     std::thread sampler([&] {

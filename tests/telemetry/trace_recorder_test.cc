@@ -169,7 +169,6 @@ TEST(Telemetry, SamplesDeterministicallyOneInN)
     TelemetryConfig cfg;
     cfg.sampleEvery = 4;
     cfg.traceCapacity = 256;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
 
     const std::string tenant = "t0";
@@ -207,7 +206,6 @@ TEST(Telemetry, SampleEveryZeroDisablesSpans)
         GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
     cfg.sampleEvery = 0;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     for (uint64_t i = 0; i < 10; ++i) {
         RequestOutcome out;
@@ -226,7 +224,6 @@ TEST(Telemetry, FailedRequestsSkipHistogramsButKeepSpans)
         GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
     cfg.sampleEvery = 1;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     RequestOutcome out;
     out.flags = kSpanFailed | kSpanExpired;
@@ -244,7 +241,6 @@ TEST(Telemetry, RuntimeDisableStopsStampsAndCompletions)
 {
     TelemetryConfig cfg;
     cfg.sampleEvery = 1;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     tel.setEnabled(false);
     EXPECT_FALSE(tel.enabled());
@@ -271,7 +267,6 @@ TEST(Telemetry, GroupShapeHistogramsTrackFillRatio)
     if (!compiledIn())
         GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     tel.recordGroup(Plane::Sign, 8, 8);  // 100% fill
     tel.recordGroup(Plane::Sign, 4, 8);  // 50% fill
