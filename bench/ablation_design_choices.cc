@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation bench for the design choices DESIGN.md calls out:
+ * Ablation bench for the engine's design choices:
  *   (a) fusion depth F (is the tuner's choice actually best?),
  *   (b) Relax-FORS on/off at 256f,
  *   (c) padded vs naive layout in isolation,

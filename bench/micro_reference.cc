@@ -1,7 +1,8 @@
 /**
  * @file
- * google-benchmark micro benches for the scalar SPHINCS+ reference:
- * keygen, sign and verify per parameter set.
+ * google-benchmark micro benches for the CPU signer's public calls:
+ * keygen, sign (a SignTask group of one) and verify (verifyBatch with
+ * count 1) per parameter set, on one thread.
  */
 
 #include <benchmark/benchmark.h>

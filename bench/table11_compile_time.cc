@@ -46,6 +46,6 @@ main(int argc, char **argv)
          t,
          "Mechanism: the PTX branch shrinks the optimizer-visible "
          "code, outweighing template instantiation overhead "
-         "(DESIGN.md documents this as an analytic model).");
+         "(an analytic model of the compiler, not a measurement).");
     return 0;
 }

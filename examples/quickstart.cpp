@@ -2,7 +2,7 @@
  * @file
  * Quickstart: generate a SPHINCS+-128f keypair, sign a message with
  * the HERO-Sign engine on a simulated RTX 4090, cross-check against
- * the scalar reference, and verify.
+ * the CPU signer (SphincsPlus::sign), and verify.
  *
  *   $ ./quickstart [message]
  */
@@ -34,7 +34,7 @@ main(int argc, char **argv)
               << "  signature bytes: " << params.sigBytes() << "\n"
               << "  public key bytes: " << params.pkBytes() << "\n";
 
-    // 1. Key generation (CPU reference; keys are shared objects).
+    // 1. Key generation on the CPU (keys are shared objects).
     SphincsPlus scheme(params);
     Rng rng = Rng::fromOs();
     auto t0 = std::chrono::steady_clock::now();
@@ -56,9 +56,9 @@ main(int argc, char **argv)
                      .count()
               << " ms host time\n";
 
-    // 3. Cross-check against the scalar reference.
+    // 3. Cross-check against the CPU signer.
     ByteVec ref = scheme.sign(msg, kp.sk);
-    std::cout << "matches scalar reference: "
+    std::cout << "matches the CPU signer: "
               << (outcome.signature == ref ? "yes" : "NO") << "\n";
 
     // 4. Verify.

@@ -3,9 +3,9 @@
  * The three component kernels of HERO-Sign (paper §III): FORS_Sign,
  * TREE_Sign and WOTS+_Sign, written as phase-structured bodies for
  * the GPU simulator. They are *real* implementations: executing them
- * produces signatures byte-identical to the scalar reference, while
- * the executor traces their shared-memory behaviour and operation
- * counts for the timing model.
+ * produces the signer's bytes (kernels_test holds each kernel to the
+ * spec oracle in tests/oracle), while the executor traces their
+ * shared-memory behaviour and operation counts for the timing model.
  */
 
 #ifndef HEROSIGN_CORE_KERNELS_HH

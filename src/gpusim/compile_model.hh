@@ -12,8 +12,7 @@
  * The paper's observation — HERO-Sign compiles 1.07x-1.28x *faster*
  * despite the extra instantiations — falls out of this accounting.
  *
- * This is a documented model, not a measurement of a real compiler
- * (DESIGN.md §1).
+ * This is an analytic model, not a measurement of a real compiler.
  */
 
 #ifndef HEROSIGN_GPUSIM_COMPILE_MODEL_HH

@@ -2,11 +2,10 @@
  * @file
  * The kernel timing model.
  *
- * Calibration contract (DESIGN.md §5): the constants below are
- * calibrated once against the paper's RTX 4090 baseline measurements
- * and then held fixed for every experiment and architecture; all
- * relative effects (fusion, PTX selection, padding, graphs, other
- * GPUs) are emergent.
+ * Calibration contract: the constants below are calibrated once
+ * against the paper's RTX 4090 baseline measurements and then held
+ * fixed for every experiment and architecture; all relative effects
+ * (fusion, PTX selection, padding, graphs, other GPUs) are emergent.
  *
  * Timing of one block = sum over barrier-delimited phases of the
  * slowest thread's cycles in that phase (critical path), plus

@@ -143,7 +143,7 @@ SignService::process(std::span<Job *const> group)
         tel_->stamp(job->trace, telemetry::Stage::CryptoStart);
 
     // Every member shares one warm context, so the whole run signs as
-    // one LaneScheduler group. Task construction (prfMsg + digest)
+    // one SignTask group. Task construction (prfMsg + digest)
     // can throw per job; a failed member is dropped and the rest
     // still sign together.
     const WarmContext &warm = *group[0]->warm;
@@ -164,7 +164,7 @@ SignService::process(std::span<Job *const> group)
     if (nlive == 0)
         return;
     try {
-        LaneScheduler::run(ptrs, nlive);
+        SignTask::runGroup(ptrs, nlive);
     } catch (...) {
         for (unsigned i = 0; i < nlive; ++i)
             plane_.fail(*live[i], std::current_exception());

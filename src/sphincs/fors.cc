@@ -49,18 +49,6 @@ forsSkGen(uint8_t *out, const Context &ctx, const Address &fors_adrs,
 }
 
 void
-forsGenLeaf(uint8_t *out, const Context &ctx, const Address &fors_adrs,
-            uint32_t idx)
-{
-    uint8_t sk[maxN];
-    forsSkGen(sk, ctx, fors_adrs, idx);
-    Address leaf_adrs = fors_adrs;
-    leaf_adrs.setTreeHeight(0);
-    leaf_adrs.setTreeIndex(idx);
-    thashF(out, ctx, leaf_adrs, sk);
-}
-
-void
 forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
               unsigned count)
 {
@@ -214,38 +202,41 @@ forsTreeBatch(const Context &ctx, const ForsTreeReq reqs[], size_t count)
 }
 
 void
+forsSecretValues(uint8_t *fors_sig, const uint32_t indices[],
+                 const Context &ctx, const Address &fors_adrs)
+{
+    const Params &p = ctx.params();
+    const uint32_t t = p.forsLeaves();
+    const size_t stride = static_cast<size_t>(p.forsHeight + 1) * p.n;
+    Address sk_base = fors_adrs;
+    sk_base.setType(AddrType::ForsPrf);
+    sk_base.setKeypair(fors_adrs.keypair());
+    const unsigned width = hashLaneWidth();
+    Address adrs[maxHashLanes];
+    uint8_t *outs[maxHashLanes];
+    for (unsigned g = 0; g < p.forsTrees; g += width) {
+        const unsigned m = std::min(width, p.forsTrees - g);
+        for (unsigned j = 0; j < m; ++j) {
+            adrs[j] = sk_base;
+            adrs[j].setTreeHeight(0);
+            adrs[j].setTreeIndex(indices[g + j] + (g + j) * t);
+            outs[j] = fors_sig + (g + j) * stride;
+        }
+        prfAddrX(outs, ctx, adrs, m);
+    }
+}
+
+void
 forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
          const Context &ctx, const Address &fors_adrs)
 {
     const Params &p = ctx.params();
     const unsigned n = p.n;
-    const uint32_t t = p.forsLeaves();
     const size_t sig_stride = static_cast<size_t>(p.forsHeight + 1) * n;
 
     uint32_t indices[64];
     messageToIndices(indices, p, mhash);
-
-    // Selected secret values for all k trees, one dispatched lane
-    // width per PRF batch. The tree-i value lands at the head of its
-    // signature block.
-    {
-        Address sk_base = fors_adrs;
-        sk_base.setType(AddrType::ForsPrf);
-        sk_base.setKeypair(fors_adrs.keypair());
-        const unsigned width = hashLaneWidth();
-        Address adrs[maxHashLanes];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned g = 0; g < p.forsTrees; g += width) {
-            const unsigned m = std::min(width, p.forsTrees - g);
-            for (unsigned j = 0; j < m; ++j) {
-                adrs[j] = sk_base;
-                adrs[j].setTreeHeight(0);
-                adrs[j].setTreeIndex(indices[g + j] + (g + j) * t);
-                outs[j] = sig + (g + j) * sig_stride;
-            }
-            prfAddrX(outs, ctx, adrs, m);
-        }
-    }
+    forsSecretValues(sig, indices, ctx, fors_adrs);
 
     // The k trees, each auth path right after its secret value.
     Address tree_adrs = fors_adrs;
@@ -261,43 +252,6 @@ forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
         trees[i].rootOut = roots + i * n;
     }
     forsTreeBatch(ctx, trees, p.forsTrees);
-
-    Address pk_adrs = fors_adrs;
-    pk_adrs.setType(AddrType::ForsRoots);
-    pk_adrs.setKeypair(fors_adrs.keypair());
-    thash(pk_out, ctx, pk_adrs, ByteSpan(roots, p.forsTrees * n));
-}
-
-void
-forsPkFromSig(uint8_t *pk_out, const uint8_t *sig, const uint8_t *mhash,
-              const Context &ctx, const Address &fors_adrs)
-{
-    const Params &p = ctx.params();
-    const unsigned n = p.n;
-    const uint32_t t = p.forsLeaves();
-
-    uint32_t indices[64];
-    messageToIndices(indices, p, mhash);
-
-    uint8_t roots[64 * maxN];
-    for (unsigned i = 0; i < p.forsTrees; ++i) {
-        const uint32_t idx_offset = i * t;
-
-        Address tree_adrs = fors_adrs;
-        tree_adrs.setType(AddrType::ForsTree);
-        tree_adrs.setKeypair(fors_adrs.keypair());
-
-        // Leaf from the revealed secret value.
-        uint8_t leaf[maxN];
-        tree_adrs.setTreeHeight(0);
-        tree_adrs.setTreeIndex(indices[i] + idx_offset);
-        thashF(leaf, ctx, tree_adrs, sig);
-        sig += n;
-
-        computeRoot(roots + i * n, ctx, leaf, indices[i], idx_offset,
-                    sig, p.forsHeight, tree_adrs);
-        sig += p.forsHeight * n;
-    }
 
     Address pk_adrs = fors_adrs;
     pk_adrs.setType(AddrType::ForsRoots);

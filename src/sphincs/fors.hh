@@ -34,13 +34,6 @@ void forsSkGen(uint8_t *out, const Context &ctx, const Address &fors_adrs,
                uint32_t idx);
 
 /**
- * Compute the FORS leaf (F of the secret value) at absolute index
- * @p idx.
- */
-void forsGenLeaf(uint8_t *out, const Context &ctx,
-                 const Address &fors_adrs, uint32_t idx);
-
-/**
  * One FORS leaf of pooled hash work: leaf @p idx (absolute index,
  * tree * t + position) of the forest addressed by @p adrs, written to
  * @p out. Requests in one forsLeafBatch() call may come from
@@ -58,8 +51,9 @@ struct ForsLeafReq
 /**
  * Compute @p count FORS leaves described by @p reqs, pooling the PRF
  * and F calls into lane batches of the dispatched width
- * (maxHashLanes leaves per internal sub-batch). Byte-identical to
- * per-leaf forsGenLeaf() calls at every width. @p count is unbounded.
+ * (maxHashLanes leaves per internal sub-batch). A leaf is F of the
+ * forsSkGen() value at its index; the bytes are the same at every
+ * width. @p count is unbounded.
  */
 void forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
                    unsigned count);
@@ -91,12 +85,22 @@ struct ForsTreeReq
  * 7 lanes scalar. The m < width trees left over at the end are split
  * into width subtrees each, which again form m full groups; only the
  * top log2(width) levels of those m trees combine in narrower
- * batches. Roots and auth paths are byte-identical to per-tree
- * treehash() calls over forsGenLeaf() at every width, and so is the
- * Sha256::compressionCount() total.
+ * batches. Roots, auth paths and the Sha256::compressionCount() total
+ * are the same at every width and grouping.
  */
 void forsTreeBatch(const Context &ctx, const ForsTreeReq reqs[],
                    size_t count);
+
+/**
+ * Write the k selected FORS secret values into a FORS signature
+ * block: tree i's value lands at the head of its (a + 1) * n-byte
+ * entry. The k PRF calls run one dispatched lane width per batch.
+ * @param fors_sig the forsSigBytes() signature block
+ * @param indices the k leaf indices (messageToIndices())
+ * @param fors_adrs ForsTree-typed address with layer/tree/keypair
+ */
+void forsSecretValues(uint8_t *fors_sig, const uint32_t indices[],
+                      const Context &ctx, const Address &fors_adrs);
 
 /**
  * FORS signature: for each of the k trees, the selected secret value
@@ -112,21 +116,13 @@ void forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
               const Context &ctx, const Address &fors_adrs);
 
 /**
- * Verification direction: recompute the FORS public key from a
- * signature.
- */
-void forsPkFromSig(uint8_t *pk_out, const uint8_t *sig,
-                   const uint8_t *mhash, const Context &ctx,
-                   const Address &fors_adrs);
-
-/**
  * Batched verification direction for up to maxHashLanes signatures
  * sharing one context: all count * k revealed leaves hash in batches
  * of the dispatched lane width and the count * k independent
  * auth-path walks (equal height a) climb in lockstep lanes, followed
  * by one batched root compression per lane. Lanes may select
- * different hypertree positions (per-lane address). Byte-identical to
- * count forsPkFromSig calls at every width.
+ * different hypertree positions (per-lane address). The bytes are the
+ * same at every width and lane count.
  *
  * @param pk_out count pointers to n-byte FORS public keys
  * @param sig count pointers to forsSigBytes() signature blocks

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sphincs/thash.hh"
 #include "sphincs/thashx.hh"
 #include "sphincs/wots.hh"
 
@@ -27,52 +26,6 @@ TreehashStream::begin(const Context &ctx, unsigned height,
     total_ = 1u << height;
     height_ = height;
     sp_ = 0;
-}
-
-void
-TreehashStream::absorbOne(const uint8_t *leaf)
-{
-    const unsigned n = ctx_->params().n;
-    const uint32_t idx = next_;
-    uint8_t node[maxN];
-    std::memcpy(node, leaf, n);
-
-    unsigned node_height = 0;
-    if (auth_ && (leafIdx_ ^ 1u) == idx)
-        std::memcpy(auth_, node, n);
-
-    while (sp_ > 0 && stackHeights_[sp_ - 1] == node_height) {
-        // Combine the stacked left sibling with this node.
-        adrs_.setTreeHeight(node_height + 1);
-        adrs_.setTreeIndex((idx >> (node_height + 1)) +
-                           (idxOffset_ >> (node_height + 1)));
-        const uint8_t *left = stack_ + static_cast<size_t>(sp_ - 1) * n;
-        thashH(node, *ctx_, adrs_, left, node);
-        --sp_;
-        ++node_height;
-
-        if (auth_ && ((leafIdx_ >> node_height) ^ 1u) ==
-                         (idx >> node_height)) {
-            std::memcpy(auth_ + node_height * n, node, n);
-        }
-    }
-    std::memcpy(stack_ + static_cast<size_t>(sp_) * n, node, n);
-    stackHeights_[sp_] = node_height;
-    ++sp_;
-    ++next_;
-}
-
-void
-TreehashStream::absorb(const uint8_t *leaves, uint32_t count)
-{
-    if (!ctx_)
-        throw std::logic_error("TreehashStream: absorb before begin");
-    if (next_ + count > total_)
-        throw std::invalid_argument(
-            "TreehashStream: absorbing past the leaf count");
-    const unsigned n = ctx_->params().n;
-    for (uint32_t i = 0; i < count; ++i)
-        absorbOne(leaves + static_cast<size_t>(i) * n);
 }
 
 const uint8_t *
@@ -166,66 +119,6 @@ TreehashStream::absorbLockstep(TreehashStream *const streams[],
 }
 
 void
-treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
-         uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
-         BatchLeafRef gen_leaves, Address &tree_adrs)
-{
-    const unsigned n = ctx.params().n;
-
-    // One stream absorbing full lane-width leaf batches reproduces
-    // the historical one-shot treehash hash for hash.
-    TreehashStream stream;
-    stream.begin(ctx, height, leaf_idx, idx_offset, auth_path,
-                 tree_adrs);
-
-    uint8_t leaf_buf[maxHashLanes * maxN];
-    const uint32_t leaves = 1u << height;
-    const uint32_t width = hashLaneWidth();
-    for (uint32_t base = 0; base < leaves; base += width) {
-        const uint32_t batch = std::min<uint32_t>(width, leaves - base);
-        gen_leaves(leaf_buf, base, batch);
-        stream.absorb(leaf_buf, batch);
-    }
-    std::memcpy(root, stream.root(), n);
-}
-
-void
-treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
-         uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
-         const LeafFn &gen_leaf, Address &tree_adrs)
-{
-    const unsigned n = ctx.params().n;
-    auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                          uint32_t count) {
-        for (uint32_t j = 0; j < count; ++j)
-            gen_leaf(out + static_cast<size_t>(j) * n, leaf_start + j);
-    };
-    treehash(root, auth_path, ctx, leaf_idx, idx_offset, height,
-             gen_leaves, tree_adrs);
-}
-
-void
-computeRoot(uint8_t *root, const Context &ctx, const uint8_t *leaf,
-            uint32_t leaf_idx, uint32_t idx_offset,
-            const uint8_t *auth_path, unsigned height, Address &tree_adrs)
-{
-    const unsigned n = ctx.params().n;
-    uint8_t node[maxN];
-    std::memcpy(node, leaf, n);
-
-    for (unsigned h = 0; h < height; ++h) {
-        tree_adrs.setTreeHeight(h + 1);
-        tree_adrs.setTreeIndex((leaf_idx >> (h + 1)) +
-                               (idx_offset >> (h + 1)));
-        if ((leaf_idx >> h) & 1u)
-            thashH(node, ctx, tree_adrs, auth_path + h * n, node);
-        else
-            thashH(node, ctx, tree_adrs, node, auth_path + h * n);
-    }
-    std::memcpy(root, node, n);
-}
-
-void
 computeRootXN(uint8_t *const root[], const Context &ctx,
               const uint8_t *const leaf[], const uint32_t leaf_idx[],
               const uint32_t idx_offset[],
@@ -273,7 +166,47 @@ void
 wotsGenLeaf(uint8_t *leaf_out, const Context &ctx, uint32_t layer,
             uint64_t tree, uint32_t leaf_idx)
 {
-    wotsPkGenXN(leaf_out, ctx, layer, tree, leaf_idx, 1);
+    WotsLeafReq req;
+    req.layer = layer;
+    req.tree = tree;
+    req.keypair = leaf_idx;
+    req.leafOut = leaf_out;
+    wotsLeafBatch(ctx, &req, 1);
+}
+
+void
+xmssTreehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
+             uint32_t layer, uint64_t tree, uint32_t leaf_idx)
+{
+    const Params &p = ctx.params();
+    const unsigned n = p.n;
+
+    Address tree_adrs;
+    tree_adrs.setLayer(layer);
+    tree_adrs.setTree(tree);
+    tree_adrs.setType(AddrType::Tree);
+    TreehashStream stream;
+    stream.begin(ctx, p.treeHeight(), leaf_idx, 0, auth_path, tree_adrs);
+    TreehashStream *const streams[1] = {&stream};
+
+    uint8_t leaves[maxHashLanes * maxN];
+    WotsLeafReq reqs[maxHashLanes];
+    const uint32_t total = p.treeLeaves();
+    for (uint32_t base = 0; base < total; base += maxHashLanes) {
+        const uint32_t m = std::min<uint32_t>(maxHashLanes, total - base);
+        for (uint32_t j = 0; j < m; ++j) {
+            reqs[j].layer = layer;
+            reqs[j].tree = tree;
+            reqs[j].keypair = base + j;
+            reqs[j].leafOut = leaves + static_cast<size_t>(j) * n;
+        }
+        wotsLeafBatch(ctx, reqs, m);
+        for (uint32_t j = 0; j < m; ++j) {
+            const uint8_t *leaf = reqs[j].leafOut;
+            TreehashStream::absorbLockstep(streams, &leaf, 1);
+        }
+    }
+    std::memcpy(root, stream.root(), n);
 }
 
 void
@@ -281,26 +214,14 @@ merkleSign(uint8_t *sig, uint8_t *root_out, const Context &ctx,
            uint32_t layer, uint64_t tree, uint32_t leaf_idx,
            const uint8_t *msg)
 {
-    const Params &p = ctx.params();
-
     Address wots_adrs;
     wots_adrs.setLayer(layer);
     wots_adrs.setTree(tree);
     wots_adrs.setType(AddrType::WotsHash);
     wots_adrs.setKeypair(leaf_idx);
     wotsSign(sig, msg, ctx, wots_adrs);
-
-    Address tree_adrs;
-    tree_adrs.setLayer(layer);
-    tree_adrs.setTree(tree);
-    tree_adrs.setType(AddrType::Tree);
-
-    auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                          uint32_t count) {
-        wotsPkGenXN(out, ctx, layer, tree, leaf_start, count);
-    };
-    treehash(root_out, sig + p.wotsSigBytes(), ctx, leaf_idx, 0,
-             p.treeHeight(), gen_leaves, tree_adrs);
+    xmssTreehash(root_out, sig + ctx.params().wotsSigBytes(), ctx, layer,
+                 tree, leaf_idx);
 }
 
 } // namespace herosign::sphincs

@@ -35,7 +35,7 @@ SignTask::SignTask(const Context &ctx, const SecretKey &sk, ByteSpan msg,
     uint8_t *out = sig_.data();
 
     // R = PRF_msg(sk_prf, opt_rand, msg); deterministic variant uses
-    // opt_rand = pk_seed. Identical to SphincsPlus::sign().
+    // opt_rand = pk_seed.
     ByteSpan rand = opt_rand.empty() ? ByteSpan(sk.pkSeed) : opt_rand;
     if (rand.size() != n)
         throw std::invalid_argument("SignTask: opt_rand must be n bytes");
@@ -67,29 +67,7 @@ SignTask::SignTask(const Context &ctx, const SecretKey &sk, ByteSpan msg,
     forsBase_.setType(AddrType::ForsTree);
     forsBase_.setKeypair(layerLeaf_[0]);
     messageToIndices(forsIndices_, p, forsMsg_.data());
-
-    // Selected secret values for all k trees into the signature
-    // blocks, one dispatched lane width per PRF batch — the same
-    // batching forsSign() performs.
-    {
-        Address sk_base = forsBase_;
-        sk_base.setType(AddrType::ForsPrf);
-        sk_base.setKeypair(layerLeaf_[0]);
-        const uint32_t t = p.forsLeaves();
-        const unsigned width = hashLaneWidth();
-        Address adrs[maxHashLanes];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned g = 0; g < p.forsTrees; g += width) {
-            const unsigned m = std::min(width, p.forsTrees - g);
-            for (unsigned j = 0; j < m; ++j) {
-                adrs[j] = sk_base;
-                adrs[j].setTreeHeight(0);
-                adrs[j].setTreeIndex(forsIndices_[g + j] + (g + j) * t);
-                outs[j] = forsSigBlock(g + j);
-            }
-            prfAddrX(outs, ctx, adrs, m);
-        }
-    }
+    forsSecretValues(forsSigBlock(0), forsIndices_, ctx, forsBase_);
 
     layerLeaves_.resize(static_cast<size_t>(p.treeLeaves()) * n);
 }
@@ -203,6 +181,75 @@ SignTask::takeSignature()
         throw std::logic_error(
             "SignTask: signature taken before completion");
     return std::move(sig_);
+}
+
+void
+SignTask::runGroup(SignTask *const tasks[], unsigned count)
+{
+    if (count == 0)
+        return;
+    if (count > maxHashLanes)
+        throw std::invalid_argument(
+            "SignTask: group exceeds maxHashLanes");
+    const Context &ctx = tasks[0]->context();
+    for (unsigned g = 1; g < count; ++g) {
+        // One warm context per group is the invariant everything
+        // else rests on: same key, same parameter set, same seeded
+        // hash mid-state. Tasks built from a different Context —
+        // even one with equal seeds — are rejected rather than
+        // silently mixed.
+        if (&tasks[g]->context() != &ctx)
+            throw std::invalid_argument(
+                "SignTask: group must share one context "
+                "(one key and parameter set)");
+    }
+    const Params &p = ctx.params();
+
+    // --- FORS: all count * k trees are independent, so they build
+    // together in full lane groups.
+    const unsigned k = p.forsTrees;
+    std::vector<ForsTreeReq> trees(static_cast<size_t>(count) * k);
+    for (unsigned g = 0; g < count; ++g)
+        for (unsigned i = 0; i < k; ++i)
+            trees[static_cast<size_t>(g) * k + i] =
+                tasks[g]->forsTreeReq(i);
+    forsTreeBatch(ctx, trees.data(), trees.size());
+    for (unsigned g = 0; g < count; ++g)
+        tasks[g]->finishFors();
+
+    // --- Hypertree: the d layers are the serial spine; within one
+    // layer the group's count * 2^(h/d) WOTS leaves pool into full
+    // chain batches, maxHashLanes leaf positions per wave, with the
+    // signing leaves' signatures captured in passing.
+    TreehashStream *streams[maxHashLanes];
+    const uint8_t *leaf_ptrs[maxHashLanes];
+    const uint32_t leaves = p.treeLeaves();
+    std::vector<WotsLeafReq> wreqs(
+        static_cast<size_t>(std::min<uint32_t>(maxHashLanes, leaves)) *
+        count);
+    for (unsigned l = 0; l < p.layers; ++l) {
+        for (unsigned g = 0; g < count; ++g) {
+            tasks[g]->beginLayer(l);
+            streams[g] = &tasks[g]->treeStream();
+        }
+        for (uint32_t j0 = 0; j0 < leaves; j0 += maxHashLanes) {
+            const uint32_t jc =
+                std::min<uint32_t>(maxHashLanes, leaves - j0);
+            unsigned nr = 0;
+            for (uint32_t q = 0; q < jc; ++q)
+                for (unsigned g = 0; g < count; ++g)
+                    wreqs[nr++] = tasks[g]->wotsLeafReq(j0 + q);
+            wotsLeafBatch(ctx, wreqs.data(), nr);
+            for (uint32_t q = 0; q < jc; ++q) {
+                for (unsigned g = 0; g < count; ++g)
+                    leaf_ptrs[g] = tasks[g]->layerLeaf(j0 + q);
+                TreehashStream::absorbLockstep(streams, leaf_ptrs,
+                                               count);
+            }
+        }
+        for (unsigned g = 0; g < count; ++g)
+            tasks[g]->endLayer();
+    }
 }
 
 } // namespace herosign::sphincs

@@ -1,34 +1,36 @@
 /**
  * @file
  * SignTask: one SPHINCS+ signature as a resumable, step-wise
- * computation whose hash work is pooled externally.
+ * computation whose hash work is pooled externally, and runGroup(),
+ * which makes every signature.
  *
- * The monolithic SphincsPlus::sign() drives its own 8/16-wide loops,
- * so on parameter shapes whose subtrees are narrower than the lane
- * width (the -f sets have 2^(h/d) = 8..16 WOTS leaves per layer) the
- * lane engine starves on every layer boundary. A SignTask instead
- * exposes its remaining hash work as descriptors — one
- * sphincs::ForsTreeReq per FORS tree, one sphincs::WotsLeafReq per
+ * On parameter shapes whose subtrees are narrower than the lane width
+ * (the -f sets have 2^(h/d) = 8..16 WOTS leaves per layer), one
+ * signature alone cannot keep the lane engine fed across a layer. A
+ * SignTask therefore exposes its remaining hash work as descriptors —
+ * one sphincs::ForsTreeReq per FORS tree, one sphincs::WotsLeafReq per
  * hypertree leaf — plus a Merkle stream (sphincs::TreehashStream) per
- * layer, letting a scheduler aggregate the descriptors of one or
- * *several* in-flight signatures into full lane batches.
- * batch::LaneScheduler builds every FORS tree of its group through
- * forsTreeBatch(), then walks the d hypertree layers in lockstep.
+ * layer, and runGroup() aggregates the descriptors of one or *several*
+ * in-flight signatures into full lane batches: it builds every FORS
+ * tree of the group through forsTreeBatch(), then walks the d
+ * hypertree layers in lockstep.
  *
  * Two structural wins fall out of the step-wise form, for groups of
  * one as much as for larger ones:
  *  - the signing keypair's WOTS+ signature is captured from its
  *    pk-generation chain walk (sig chain values are prefixes of the
- *    full chains), so the separate wotsSign() walk disappears;
+ *    full chains), so there is no separate wotsSign() walk;
  *  - node combines run lane-batched across same-shape trees (the k
  *    FORS trees, and each layer's tree across the group) instead of
  *    one at a time.
  *
- * The produced signature is byte-identical to SphincsPlus::sign() at
- * every lane width and group size: every output byte is the result of
- * the same tweakable-hash calls, only pooled differently.
+ * SphincsPlus::sign is a group of one; batch::LaneScheduler and the
+ * SignService sign larger groups. The output does not depend on the
+ * lane width or the group a signature rides in: every output byte is
+ * the result of the same tweakable-hash calls, only pooled
+ * differently. The spec oracle in tests/oracle checks that claim.
  *
- * Phase protocol (driven by the scheduler, same order as sign()):
+ * Phase protocol (what runGroup() drives):
  *   ctor                      R, digest, indices, FORS secret values
  *   forsTreeReq(i), i < k     descriptors, built by forsTreeBatch()
  *   finishFors()              T_k root compression
@@ -124,8 +126,8 @@ class SignTask
     // --------------------------------------------------------------
 
     /**
-     * The Merkle stream of the current layer; the scheduler feeds it
-     * via absorb()/absorbLockstep().
+     * The Merkle stream of the current layer; runGroup() feeds it via
+     * TreehashStream::absorbLockstep().
      */
     TreehashStream &treeStream() { return stream_; }
 
@@ -134,6 +136,15 @@ class SignTask
 
     /** Move the finished signature out; valid only when finished(). */
     ByteVec takeSignature();
+
+    /**
+     * Run @p count tasks (1..maxHashLanes) to completion: every FORS
+     * tree of the group in full lane groups, then layer by layer in
+     * lockstep, every hash pooled across the group. All tasks must
+     * share one Context object.
+     * @throws std::invalid_argument on a mixed or oversized group
+     */
+    static void runGroup(SignTask *const tasks[], unsigned count);
 
   private:
     uint8_t *forsSigBlock(unsigned tree);

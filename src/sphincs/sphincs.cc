@@ -7,6 +7,7 @@
 
 #include "sphincs/fors.hh"
 #include "sphincs/merkle.hh"
+#include "sphincs/sign_task.hh"
 #include "sphincs/thash.hh"
 #include "sphincs/thashx.hh"
 #include "sphincs/wots.hh"
@@ -121,20 +122,8 @@ ByteVec
 SphincsPlus::computePkRoot(ByteSpan sk_seed, ByteSpan pk_seed) const
 {
     Context ctx(params_, pk_seed, sk_seed, variant_);
-    const uint32_t top_layer = params_.layers - 1;
-
-    Address tree_adrs;
-    tree_adrs.setLayer(top_layer);
-    tree_adrs.setTree(0);
-    tree_adrs.setType(AddrType::Tree);
-
     ByteVec root(params_.n);
-    auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                          uint32_t count) {
-        wotsPkGenXN(out, ctx, top_layer, 0, leaf_start, count);
-    };
-    treehash(root.data(), nullptr, ctx, 0, 0, params_.treeHeight(),
-             gen_leaves, tree_adrs);
+    xmssTreehash(root.data(), nullptr, ctx, params_.layers - 1, 0, 0);
     return root;
 }
 
@@ -177,54 +166,10 @@ ByteVec
 SphincsPlus::sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                   ByteSpan opt_rand) const
 {
-    const unsigned n = params_.n;
-    if (ctx.params().n != n ||
-        !ctEqual(ctx.pkSeed(), ByteSpan(sk.pkSeed)) ||
-        !ctEqual(ctx.skSeed(), ByteSpan(sk.skSeed)))
-        throw std::invalid_argument(
-            "sign: context does not match the secret key");
-
-    ByteVec sig(params_.sigBytes());
-    uint8_t *out = sig.data();
-
-    // R = PRF_msg(sk_prf, opt_rand, msg); deterministic variant uses
-    // opt_rand = pk_seed.
-    ByteSpan rand = opt_rand.empty() ? ByteSpan(sk.pkSeed) : opt_rand;
-    if (rand.size() != n)
-        throw std::invalid_argument("sign: opt_rand must be n bytes");
-    prfMsg(out, ctx, sk.skPrf, rand, msg);
-    ByteSpan r(out, n);
-    out += n;
-
-    // Message digest and index split.
-    ByteVec digest(params_.msgDigestBytes());
-    hashMessage(digest, ctx, r, sk.pkRoot, msg);
-    DigestSplit split = splitDigest(params_, digest);
-
-    uint64_t idx_tree = split.idxTree;
-    uint32_t idx_leaf = split.idxLeaf;
-
-    // FORS at the bottom.
-    Address fors_adrs;
-    fors_adrs.setLayer(0);
-    fors_adrs.setTree(idx_tree);
-    fors_adrs.setType(AddrType::ForsTree);
-    fors_adrs.setKeypair(idx_leaf);
-
-    uint8_t root[maxN];
-    forsSign(out, root, split.forsMsg.data(), ctx, fors_adrs);
-    out += params_.forsSigBytes();
-
-    // Hypertree layers, bottom-up (paper Fig. 2 snippet).
-    for (uint32_t layer = 0; layer < params_.layers; ++layer) {
-        merkleSign(out, root, ctx, layer, idx_tree, idx_leaf, root);
-        out += params_.xmssSigBytes();
-        idx_leaf = static_cast<uint32_t>(idx_tree &
-                                         maskBits(params_.treeHeight()));
-        idx_tree >>= params_.treeHeight();
-    }
-
-    return sig;
+    SignTask task(ctx, sk, msg, opt_rand);
+    SignTask *const group[1] = {&task};
+    SignTask::runGroup(group, 1);
+    return task.takeSignature();
 }
 
 bool
@@ -240,61 +185,9 @@ bool
 SphincsPlus::verify(const Context &ctx, ByteSpan msg, ByteSpan sig,
                     const PublicKey &pk) const
 {
-    const unsigned n = params_.n;
-    if (ctx.params().n != n ||
-        !ctEqual(ctx.pkSeed(), ByteSpan(pk.pkSeed)))
-        throw std::invalid_argument(
-            "verify: context does not match the public key");
-    if (sig.size() != params_.sigBytes())
-        return false;
-
-    const uint8_t *in = sig.data();
-
-    ByteSpan r(in, n);
-    in += n;
-
-    ByteVec digest(params_.msgDigestBytes());
-    hashMessage(digest, ctx, r, pk.pkRoot, msg);
-    DigestSplit split = splitDigest(params_, digest);
-
-    uint64_t idx_tree = split.idxTree;
-    uint32_t idx_leaf = split.idxLeaf;
-
-    Address fors_adrs;
-    fors_adrs.setLayer(0);
-    fors_adrs.setTree(idx_tree);
-    fors_adrs.setType(AddrType::ForsTree);
-    fors_adrs.setKeypair(idx_leaf);
-
-    uint8_t root[maxN];
-    forsPkFromSig(root, in, split.forsMsg.data(), ctx, fors_adrs);
-    in += params_.forsSigBytes();
-
-    for (uint32_t layer = 0; layer < params_.layers; ++layer) {
-        Address wots_adrs;
-        wots_adrs.setLayer(layer);
-        wots_adrs.setTree(idx_tree);
-        wots_adrs.setType(AddrType::WotsHash);
-        wots_adrs.setKeypair(idx_leaf);
-
-        uint8_t leaf[maxN];
-        wotsPkFromSig(leaf, in, root, ctx, wots_adrs);
-        in += params_.wotsSigBytes();
-
-        Address tree_adrs;
-        tree_adrs.setLayer(layer);
-        tree_adrs.setTree(idx_tree);
-        tree_adrs.setType(AddrType::Tree);
-        computeRoot(root, ctx, leaf, idx_leaf, 0, in,
-                    params_.treeHeight(), tree_adrs);
-        in += params_.treeHeight() * n;
-
-        idx_leaf = static_cast<uint32_t>(idx_tree &
-                                         maskBits(params_.treeHeight()));
-        idx_tree >>= params_.treeHeight();
-    }
-
-    return ctEqual(ByteSpan(root, n), pk.pkRoot);
+    bool ok = false;
+    verifyBatch(ctx, &msg, &sig, pk, &ok, 1);
+    return ok;
 }
 
 namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * SPHINCS+ top level: key generation, signing and verification
- * (scalar CPU reference implementation). This is the library's
- * correctness oracle — the GPU-simulated engines must produce
- * byte-identical signatures.
+ * SPHINCS+ top level: key generation, signing and verification. There
+ * is one path per direction: sign() is a SignTask group of one
+ * (sphincs/sign_task.hh), verify() is verifyBatch() over one
+ * signature. The reference both are tested against is the spec oracle
+ * in tests/oracle, which shares no code with them.
  */
 
 #ifndef HEROSIGN_SPHINCS_SPHINCS_HH
@@ -110,10 +111,10 @@ class SphincsPlus
                  ByteSpan opt_rand = {}) const;
 
     /**
-     * Sign @p msg reusing a warm context. @p ctx must have been built
-     * for @p sk (same pk_seed and sk_seed) — checked, throws
-     * std::invalid_argument on mismatch. This is the serving-layer hot
-     * path: no per-sign Context construction.
+     * Sign @p msg reusing a warm context: a SignTask group of one.
+     * @p ctx must have been built for @p sk (same pk_seed and
+     * sk_seed) — checked, throws std::invalid_argument on mismatch.
+     * No per-sign Context construction.
      */
     ByteVec sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                  ByteSpan opt_rand = {}) const;
@@ -122,21 +123,24 @@ class SphincsPlus
     bool verify(ByteSpan msg, ByteSpan sig, const PublicKey &pk) const;
 
     /**
-     * Verify reusing a warm context. @p ctx must carry the public
-     * key's pk_seed (a signing context for the same keypair works) —
-     * checked, throws std::invalid_argument on mismatch.
+     * Verify reusing a warm context: verifyBatch() with count 1.
+     * @p ctx must carry the public key's pk_seed (a signing context
+     * for the same keypair works) — checked, throws
+     * std::invalid_argument on mismatch.
      */
     bool verify(const Context &ctx, ByteSpan msg, ByteSpan sig,
                 const PublicKey &pk) const;
 
     /**
-     * Batched verification: ok[i] = verify(msgs[i], sigs[i], pk) for
-     * i < count, with the hot loops (WOTS+ chain recompute, FORS leaf
-     * and auth-path walks, Merkle root reconstruction) advanced across
+     * Batched verification, the only verifier: ok[i] is true when
+     * sigs[i] is a valid signature of msgs[i] under @p pk, for
+     * i < count. A signature of the wrong length is rejected up
+     * front. The hot loops (WOTS+ chain recompute, FORS leaf and
+     * auth-path walks, Merkle root reconstruction) advance across
      * signatures in hash lanes of the dispatched width (16 on
-     * AVX-512, 8 elsewhere). Results are bool-identical to
-     * the scalar path on every backend; partial lane groups fall back
-     * to the scalar hash calls so digests match bit for bit.
+     * AVX-512, 8 elsewhere); partial lane groups run narrower kernels
+     * with the same digests, so verdicts do not depend on the width
+     * or on which signatures share a group.
      */
     void verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
                      const PublicKey &pk, bool ok[], size_t count) const;
@@ -156,7 +160,10 @@ class SphincsPlus
                                      const std::vector<ByteSpan> &sigs,
                                      const PublicKey &pk) const;
 
-    /** Compute the hypertree root for a secret key (keygen internal). */
+    /**
+     * Compute the hypertree root for a secret key (keygen internal):
+     * the top layer's tree 0, built by xmssTreehash().
+     */
     ByteVec computePkRoot(ByteSpan sk_seed, ByteSpan pk_seed) const;
 
   private:

@@ -10,8 +10,10 @@
  *   H_msg(R, pk_seed, pk_root, m) =
  *       MGF1-SHA-256(R || pk_seed || SHA-256(R||pk_seed||pk_root||m), m)
  *
- * Following the paper, SHA-256 is used at every security level (see
- * DESIGN.md, "Hash baseline").
+ * Following the paper, SHA-256 is used at every security level, so
+ * 192f/256f do not interoperate with SPHINCS+ r3.1 or FIPS 205, which
+ * switch H_msg, PRF_msg, H and T_l to SHA-512 there (README,
+ * "Not interoperable at 192f/256f").
  */
 
 #ifndef HEROSIGN_SPHINCS_THASH_HH

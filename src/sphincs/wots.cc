@@ -258,30 +258,6 @@ wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
 }
 
 void
-wotsPkGenXN(uint8_t *pk_out, const Context &ctx, uint32_t layer,
-            uint64_t tree, uint32_t leaf0, unsigned count)
-{
-    if (count == 0 || count > maxHashLanes)
-        throw std::invalid_argument("wotsPkGenXN: count must be 1..16");
-    const unsigned n = ctx.params().n;
-    WotsLeafReq reqs[maxHashLanes];
-    for (unsigned j = 0; j < count; ++j) {
-        reqs[j].layer = layer;
-        reqs[j].tree = tree;
-        reqs[j].keypair = leaf0 + j;
-        reqs[j].leafOut = pk_out + static_cast<size_t>(j) * n;
-    }
-    wotsLeafBatch(ctx, reqs, count);
-}
-
-void
-wotsPkGen(uint8_t *pk_out, const Context &ctx, const Address &leaf_adrs)
-{
-    wotsPkGenXN(pk_out, ctx, leaf_adrs.layer(), leaf_adrs.tree(),
-                leaf_adrs.keypair(), 1);
-}
-
-void
 wotsSign(uint8_t *sig, const uint8_t *msg, const Context &ctx,
          const Address &leaf_adrs)
 {
@@ -372,41 +348,6 @@ wotsPkFromSigXN(uint8_t *const pk_out[], const uint8_t *const sig[],
     }
     thashX(pk_out, ctx, pk_adrs, ins, static_cast<size_t>(len) * n,
            count);
-}
-
-void
-wotsPkFromSig(uint8_t *pk_out, const uint8_t *sig, const uint8_t *msg,
-              const Context &ctx, const Address &leaf_adrs)
-{
-    const Params &p = ctx.params();
-    const unsigned len = p.wotsLen();
-    const unsigned n = p.n;
-
-    uint32_t lengths[maxWotsLen];
-    chainLengths(lengths, p, msg);
-
-    uint8_t chains[maxWotsLen * maxN];
-    std::memcpy(chains, sig, static_cast<size_t>(len) * n);
-
-    uint8_t *vals[maxWotsLen] = {};
-    Address adrs[maxWotsLen];
-    uint32_t end[maxWotsLen];
-
-    Address hash_base = leaf_adrs;
-    hash_base.setType(AddrType::WotsHash);
-    hash_base.setKeypair(leaf_adrs.keypair());
-    for (unsigned i = 0; i < len; ++i) {
-        vals[i] = chains + static_cast<size_t>(i) * n;
-        adrs[i] = hash_base;
-        adrs[i].setChain(i);
-        end[i] = p.wotsW - 1;
-    }
-    advanceChains(vals, adrs, lengths, end, len, ctx);
-
-    Address pk_adrs = leaf_adrs;
-    pk_adrs.setType(AddrType::WotsPk);
-    pk_adrs.setKeypair(leaf_adrs.keypair());
-    thash(pk_out, ctx, pk_adrs, ByteSpan(chains, len * n));
 }
 
 } // namespace herosign::sphincs

@@ -45,28 +45,6 @@ void wotsChainSk(uint8_t *out, const Context &ctx, Address &adrs,
                  uint32_t chain);
 
 /**
- * Compute the WOTS+ compressed public key (the hypertree leaf) for
- * the keypair selected by @p leaf_adrs.
- * @param pk_out n bytes
- * @param leaf_adrs WOTS_HASH-style address with layer/tree/keypair set
- */
-void wotsPkGen(uint8_t *pk_out, const Context &ctx,
-               const Address &leaf_adrs);
-
-/**
- * Compute @p count consecutive WOTS+ compressed public keys (the leaf
- * layer slice starting at keypair @p leaf0) with all count * len hash
- * chains advanced in lockstep lane batches of the dispatched width
- * (16 on AVX-512, 8 elsewhere) — the hot path of signing (~90% of
- * compressions). Byte-identical to count wotsPkGen calls at every
- * width.
- * @param pk_out count * n bytes
- * @param count 1..maxHashLanes leaves
- */
-void wotsPkGenXN(uint8_t *pk_out, const Context &ctx, uint32_t layer,
-                 uint64_t tree, uint32_t leaf0, unsigned count);
-
-/**
  * One WOTS+ leaf of pooled hash work: generate the compressed public
  * key for keypair @p keypair of subtree (layer, tree), optionally
  * capturing the signature chain values on the way. The leaves of one
@@ -98,8 +76,10 @@ struct WotsLeafReq
  * pooled across requests: chain-start PRFs, chain steps and the final
  * T_len compressions all run in lane batches of the dispatched width,
  * maxHashLanes leaves per internal sub-batch. Leaf and captured
- * signature bytes are identical to per-leaf wotsPkGen()/wotsSign()
- * calls at every width. @p count is unbounded.
+ * signature bytes are the same at every width and batch composition.
+ * This is the only WOTS+ leaf generator: keygen, every hypertree
+ * layer of a signature and the simulator's scalar leaf (wotsGenLeaf)
+ * all come through it. @p count is unbounded.
  */
 void wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
                    unsigned count);
@@ -112,22 +92,15 @@ void wotsSign(uint8_t *sig, const uint8_t *msg, const Context &ctx,
               const Address &leaf_adrs);
 
 /**
- * Recompute the compressed public key from a signature (verification
- * direction).
- */
-void wotsPkFromSig(uint8_t *pk_out, const uint8_t *sig,
-                   const uint8_t *msg, const Context &ctx,
-                   const Address &leaf_adrs);
-
-/**
  * Recompute up to maxHashLanes compressed public keys from signatures
  * in one lockstep pass — the hot loop of batched verification. All
  * count * len ragged chains advance together in lanes of the
  * dispatched width (lanes retire early and refill), and the final
  * T_len compressions run one per lane. The signatures may sit in
  * different hypertree positions (each lane has its own address) but
- * must share one context / parameter set. Byte-identical to count
- * wotsPkFromSig calls at every width.
+ * must share one context / parameter set. The bytes are the same at
+ * every width and lane count; verification runs a lone signature
+ * through it as one lane.
  *
  * @param pk_out count pointers to n-byte outputs
  * @param sig count pointers to wotsSigBytes() signatures

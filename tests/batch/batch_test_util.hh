@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared fixtures for the batch and service test suites: the cheap
- * "mini" parameter set (full SPHINCS+ semantics, small trees — many
- * signatures per second even under sanitizers), deterministic
- * seed/message builders matching the engine cross-check idiom, and
- * request builders for the services' submit().
+ * Shared fixtures for the batch, service and signer test suites: the
+ * cheap "mini" parameter set (full SPHINCS+ semantics, small trees —
+ * many signatures per second even under sanitizers), deterministic
+ * seed/message builders matching the engine cross-check idiom, a
+ * lane-width pin, and request builders for the services' submit().
  */
 
 #ifndef HEROSIGN_TESTS_BATCH_BATCH_TEST_UTIL_HH
@@ -15,6 +15,7 @@
 
 #include "batch/sign_request.hh"
 #include "common/bytes.hh"
+#include "hash/sha256xN.hh"
 #include "sphincs/params.hh"
 
 namespace herosign::batchtest
@@ -64,6 +65,22 @@ patternBatch(unsigned count, size_t len = 40)
         msgs.push_back(patternMsg(len, static_cast<uint8_t>(i)));
     return msgs;
 }
+
+/** Pin the lane engine to one width for a scope (1 = portable). */
+class ScopedWidth
+{
+  public:
+    explicit ScopedWidth(unsigned width)
+    {
+        sha256LanesForceScalar(width == 1);
+        sha256LanesDisableAvx512(width == 8);
+    }
+    ~ScopedWidth()
+    {
+        sha256LanesForceScalar(false);
+        sha256LanesDisableAvx512(false);
+    }
+};
 
 /** A signing request with no callback and no deadline. */
 inline batch::SignRequest

@@ -1,15 +1,16 @@
 /**
  * @file
  * Cross-signature lane batching correctness: LaneScheduler groups
- * must produce signatures byte-identical to the scalar
- * SphincsPlus::sign() path on every Table I parameter set, at every
- * lane width (1 / 8 / 16), for group sizes from a lone request to a
- * full group (including ragged ones that don't divide the lane
- * width), and mixed parameter-set groups must reject cleanly.
+ * must produce the spec oracle's signatures byte for byte on every
+ * Table I parameter set, at every lane width (1 / 8 / 16), for group
+ * sizes from a lone request to a full group (including ragged ones
+ * that don't divide the lane width), and mixed parameter-set groups
+ * must reject cleanly.
  */
 
 #include <gtest/gtest.h>
 
+#include "../sphincs/oracle_ref.hh"
 #include "batch/lane_scheduler.hh"
 #include "batch_test_util.hh"
 #include "hash/sha256xN.hh"
@@ -27,22 +28,6 @@ using sphincs::SphincsPlus;
 namespace
 {
 
-/** Pin the lane engine to one width for a scope. */
-class ScopedWidth
-{
-  public:
-    explicit ScopedWidth(unsigned width)
-    {
-        sha256LanesForceScalar(width == 1);
-        sha256LanesDisableAvx512(width == 8);
-    }
-    ~ScopedWidth()
-    {
-        sha256LanesForceScalar(false);
-        sha256LanesDisableAvx512(false);
-    }
-};
-
 /** opt_rand for message i: empty (deterministic) for even i. */
 ByteVec
 optRandFor(const Params &p, unsigned i)
@@ -57,17 +42,15 @@ optRandFor(const Params &p, unsigned i)
 
 } // namespace
 
-TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
+TEST(LaneSchedulerTest, GroupsMatchOracleOnAllSetsWidthsAndSizes)
 {
     for (const Params &p : Params::all()) {
         SphincsPlus scheme(p);
         const auto kp = scheme.keygenFromSeed(fixedSeed(p));
         Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
 
-        // SphincsPlus::sign references: the ground truth every pooled
-        // configuration must reproduce bit for bit. They are signed at
-        // the default dispatch; golden_sign_test and thashx_test pin
-        // that path as width-invariant.
+        // The spec oracle's signatures: the ground truth every pooled
+        // configuration must reproduce bit for bit.
         constexpr unsigned maxMsgs = LaneScheduler::maxGroup;
         std::vector<ByteVec> msgs;
         std::vector<ByteVec> rands;
@@ -75,7 +58,7 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
         for (unsigned i = 0; i < maxMsgs; ++i) {
             msgs.push_back(patternMsg(48, static_cast<uint8_t>(i)));
             rands.push_back(optRandFor(p, i));
-            want.push_back(scheme.sign(ctx, msgs[i], kp.sk, rands[i]));
+            want.push_back(oracle::oracleSign(kp.sk, msgs[i], rands[i]));
         }
 
         for (unsigned width : {1u, 8u, 16u}) {
@@ -119,7 +102,7 @@ TEST(LaneSchedulerTest, MixedParameterSetGroupRejects)
     SignTask ta(ca, ka.sk, msg);
     SignTask tb(cb, kb.sk, msg);
     SignTask *mixed[2] = {&ta, &tb};
-    EXPECT_THROW(LaneScheduler::run(mixed, 2), std::invalid_argument);
+    EXPECT_THROW(SignTask::runGroup(mixed, 2), std::invalid_argument);
 
     // Same parameter set but a different Context object is also a
     // mixed shard: the group invariant is one warm context.
@@ -127,7 +110,7 @@ TEST(LaneSchedulerTest, MixedParameterSetGroupRejects)
     Context ca2(pa, ka2.sk.pkSeed, ka2.sk.skSeed);
     SignTask ta2(ca2, ka2.sk, msg);
     SignTask *twoKeys[2] = {&ta, &ta2};
-    EXPECT_THROW(LaneScheduler::run(twoKeys, 2),
+    EXPECT_THROW(SignTask::runGroup(twoKeys, 2),
                  std::invalid_argument);
 }
 
@@ -181,9 +164,9 @@ TEST(LaneSchedulerTest, TaskEnforcesPhaseOrder)
 TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
 {
     // Every group size up to a full maxGroup on the cheap set, at
-    // every width, checked against scalar signing. Its 8 FORS trees of
-    // 16 leaves make some groups end in a ragged tree tail, split down
-    // to single-leaf subtrees at width 16.
+    // every width, checked against the spec oracle. Its 8 FORS trees
+    // of 16 leaves make some groups end in a ragged tree tail, split
+    // down to single-leaf subtrees at width 16.
     const Params p = miniParams();
     SphincsPlus scheme(p);
     const auto kp = scheme.keygenFromSeed(fixedSeed(p));
@@ -193,11 +176,8 @@ TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
     std::vector<ByteVec> msgs = patternBatch(maxCount);
     std::vector<ByteSpan> spans(msgs.begin(), msgs.end());
     std::vector<ByteVec> want;
-    {
-        ScopedWidth w(1);
-        for (const ByteVec &m : msgs)
-            want.push_back(scheme.sign(ctx, m, kp.sk));
-    }
+    for (const ByteVec &m : msgs)
+        want.push_back(oracle::oracleSign(kp.sk, m));
     for (unsigned width : {1u, 8u, 16u}) {
         ScopedWidth w(width);
         for (unsigned count = 1; count <= maxCount; ++count) {

@@ -2,12 +2,13 @@
  * @file
  * Engine-level tests: resolved configurations (Table V PTX pattern,
  * tuner integration, launch bounds), and — most importantly — that
- * every engine configuration signs byte-identically to the scalar
- * reference implementation.
+ * every engine configuration signs byte-identically to the spec
+ * oracle (tests/oracle).
  */
 
 #include <gtest/gtest.h>
 
+#include "../sphincs/oracle_ref.hh"
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
@@ -77,7 +78,7 @@ TEST_P(EngineSignatureMatch, ByteIdenticalToReference)
     ByteVec msg = rng.bytes(48);
 
     auto outcome = engine.sign(msg, ks.kp.sk);
-    ByteVec ref = ks.scheme.sign(msg, ks.kp.sk);
+    ByteVec ref = oracle::oracleSign(ks.kp.sk, msg);
 
     ASSERT_EQ(outcome.signature.size(), ref.size());
     EXPECT_EQ(hexEncode(outcome.signature), hexEncode(ref))
@@ -112,7 +113,7 @@ TEST(Engine, AblationStepsAllSignCorrectly)
     KeyedScheme ks(p);
     Rng rng(5);
     ByteVec msg = rng.bytes(32);
-    ByteVec ref = ks.scheme.sign(msg, ks.kp.sk);
+    ByteVec ref = oracle::oracleSign(ks.kp.sk, msg);
 
     for (auto cfg : {EngineConfig::stepMmtp(), EngineConfig::stepFuse(),
                      EngineConfig::stepPtx(),
@@ -135,7 +136,7 @@ TEST(Engine, RandomizedSigningMatchesReference)
     ByteVec opt = rng.bytes(p.n);
     auto outcome = engine.sign(msg, ks.kp.sk, opt);
     EXPECT_EQ(hexEncode(outcome.signature),
-              hexEncode(ks.scheme.sign(msg, ks.kp.sk, opt)));
+              hexEncode(oracle::oracleSign(ks.kp.sk, msg, opt)));
 }
 
 TEST(Engine, Table5PtxSelectionPattern)
@@ -262,7 +263,7 @@ TEST(Engine, WorksOnAllPlatforms)
     ByteVec msg = rng.bytes(8);
     const Params &p = Params::sphincs128f();
     KeyedScheme ks(p);
-    ByteVec ref = ks.scheme.sign(msg, ks.kp.sk);
+    ByteVec ref = oracle::oracleSign(ks.kp.sk, msg);
     for (const auto &dev : DeviceProps::allPlatforms()) {
         SignEngine engine(p, dev, EngineConfig::hero());
         auto outcome = engine.sign(msg, ks.kp.sk);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Direct kernel tests: each simulated kernel's functional output is
- * compared byte-for-byte against the scalar reference path, across
- * geometries (baseline / MMTP / fused / relax, naive / padded).
+ * compared byte-for-byte against the spec oracle (tests/oracle),
+ * across geometries (baseline / MMTP / fused / relax, naive / padded).
  */
 
 #include <gtest/gtest.h>
@@ -10,10 +10,7 @@
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "core/kernels.hh"
-#include "sphincs/fors.hh"
-#include "sphincs/merkle.hh"
-#include "sphincs/thash.hh"
-#include "sphincs/wots.hh"
+#include "oracle/spx_oracle.hh"
 
 using namespace herosign;
 using namespace herosign::core;
@@ -101,6 +98,12 @@ struct Fixture
         return a;
     }
 
+    oracle::SpxOracle
+    spec() const
+    {
+        return oracle::SpxOracle(params, ctx->pkSeed(), ctx->skSeed());
+    }
+
     gpu::ExecResult
     runFors(const ForsGeometry &geo, bool hybrid = true,
             Sha256Variant v = Sha256Variant::Native)
@@ -118,15 +121,14 @@ struct Fixture
     }
 };
 
-/** Reference FORS signature for the same job inputs. */
+/** The oracle's FORS signature and public key for the job inputs. */
 void
 referenceFors(const Fixture &f, ByteVec &sig, ByteVec &pk)
 {
-    ByteVec mhash = packIndices(f.params, f.job.forsIndices);
-    sig.assign(f.params.forsSigBytes(), 0);
-    pk.assign(f.params.n, 0);
-    sphincs::forsSign(sig.data(), pk.data(), mhash.data(), *f.ctx,
-                      f.forsAddress());
+    const ByteVec mhash = packIndices(f.params, f.job.forsIndices);
+    const oracle::SpxOracle spx = f.spec();
+    sig = spx.forsSign(mhash, f.forsAddress());
+    pk = spx.forsPkFromSig(sig, mhash, f.forsAddress());
 }
 
 } // namespace
@@ -281,20 +283,21 @@ TEST_P(TreeKernelSets, MatchesMerkleSignReference)
         f.job, true, MemPolicy{}, Sha256Variant::Native);
     gpu::executeLaunch(dev(), cp(), spec);
 
-    // Reference: per layer, treehash root + auth path.
+    // Reference: per layer, the oracle's treehash root and the auth
+    // path of xmss_sign.
+    const oracle::SpxOracle spx = f.spec();
     for (unsigned layer = 0; layer < p.layers; ++layer) {
         Address tree_adrs;
         tree_adrs.setLayer(layer);
         tree_adrs.setTree(f.job.layerTree[layer]);
-        tree_adrs.setType(AddrType::Tree);
-        ByteVec root(p.n), auth(p.treeHeight() * p.n);
-        auto gen_leaf = [&](uint8_t *out, uint32_t idx) {
-            sphincs::wotsGenLeaf(out, *f.ctx, layer,
-                                 f.job.layerTree[layer], idx);
-        };
-        sphincs::treehash(root.data(), auth.data(), *f.ctx,
-                          f.job.layerLeaf[layer], 0, p.treeHeight(),
-                          gen_leaf, tree_adrs);
+        const ByteVec root = spx.treehash(0, p.treeHeight(), tree_adrs);
+        ByteVec auth;
+        const uint32_t idx = f.job.layerLeaf[layer];
+        for (unsigned j = 0; j < p.treeHeight(); ++j) {
+            const ByteVec node =
+                spx.treehash(((idx >> j) ^ 1u) << j, j, tree_adrs);
+            auth.insert(auth.end(), node.begin(), node.end());
+        }
 
         EXPECT_EQ(hexEncode(ByteSpan(
                       f.job.roots.data() + layer * p.n, p.n)),
@@ -354,10 +357,8 @@ TEST_P(WotsKernelSets, MatchesWotsSignReference)
         adrs.setTree(f.job.layerTree[layer]);
         adrs.setType(AddrType::WotsHash);
         adrs.setKeypair(f.job.layerLeaf[layer]);
-        ByteVec ref(p.wotsSigBytes());
-        sphincs::wotsSign(ref.data(),
-                          f.job.wotsMessages.data() + layer * p.n,
-                          *f.ctx, adrs);
+        const ByteVec ref = f.spec().wotsSign(
+            ByteSpan(f.job.wotsMessages.data() + layer * p.n, p.n), adrs);
         EXPECT_EQ(hexEncode(ByteSpan(f.job.wotsSigs.data() +
                                          layer * p.wotsSigBytes(),
                                      p.wotsSigBytes())),

@@ -228,6 +228,11 @@ TEST(ChaosFabric, MixedTrafficUnderFaultsKeepsInvariants)
               sign_subs + verify_subs);
     EXPECT_EQ(untyped_errors.load(), 0u);
 
+    // How often the guard caught a bad signature (XML report only;
+    // the fault-matrix runs compare it per plan).
+    RecordProperty("guardMismatches", std::to_string(ss.guardMismatches));
+    RecordProperty("laneQuarantines", std::to_string(ss.laneQuarantines));
+
     // Zero corrupt escapes: every signature that was released
     // verifies pristinely now that the faults are gone.
     for (const SignOutcome &o : outcomes)

@@ -1,11 +1,10 @@
 /**
  * @file
  * SignService: multi-tenant routing correctness (byte-identical to
- * the scalar per-key path on every Table I set and at any worker
- * count), the no-per-sign-Context-construction guarantee, config
- * clamping and the default coalescing windows, admission control,
- * graceful teardown, multi-producer stress and the unified stats
- * surface.
+ * the spec oracle on every Table I set and at any worker count), the
+ * no-per-sign-Context-construction guarantee, config clamping and the
+ * default coalescing windows, admission control, graceful teardown,
+ * multi-producer stress and the unified stats surface.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include <thread>
 
 #include "../batch/batch_test_util.hh"
+#include "../sphincs/oracle_ref.hh"
 #include "batch/lane_scheduler.hh"
 #include "common/hex.hh"
 #include "service/sign_service.hh"
@@ -82,11 +82,10 @@ TEST(SignService, RoutesTenantsByteIdentically)
         jobs.emplace_back(id, std::move(msg));
     }
 
-    SphincsPlus scheme(p);
     for (size_t i = 0; i < jobs.size(); ++i) {
         ByteVec got = futs[i].get();
-        ByteVec ref =
-            scheme.sign(jobs[i].second, t.keys.at(jobs[i].first).sk);
+        ByteVec ref = oracle::oracleSign(t.keys.at(jobs[i].first).sk,
+                                         jobs[i].second);
         EXPECT_EQ(hexEncode(got), hexEncode(ref)) << "job " << i;
     }
     svc.drain();
@@ -143,12 +142,11 @@ TEST(SignService, RequestStructsCarryOptRandAndCallbacks)
         futs.push_back(svc.submit(id, std::move(req)));
     }
 
-    SphincsPlus scheme(p);
     std::vector<std::string> got;
     for (size_t i = 0; i < futs.size(); ++i) {
         ByteVec sig = futs[i].get();
-        ByteVec ref = scheme.sign(msgs[i], t.keys.at(ids[i]).sk,
-                                  rands[i]);
+        ByteVec ref = oracle::oracleSign(t.keys.at(ids[i]).sk, msgs[i],
+                                         rands[i]);
         EXPECT_EQ(hexEncode(sig), hexEncode(ref)) << "req " << i;
         got.push_back(hexEncode(sig));
     }
@@ -194,9 +192,9 @@ TEST(SignService, SubmitManySpanAndCoalesceOff)
     auto futs = svc.submitMany("tenant-0", reqs);
     ASSERT_EQ(futs.size(), msgs.size());
 
-    SphincsPlus scheme(p);
     for (size_t i = 0; i < futs.size(); ++i) {
-        ByteVec ref = scheme.sign(msgs[i], t.keys.at("tenant-0").sk);
+        ByteVec ref =
+            oracle::oracleSign(t.keys.at("tenant-0").sk, msgs[i]);
         EXPECT_EQ(hexEncode(futs[i].get()), hexEncode(ref));
     }
     svc.drain();
@@ -262,9 +260,9 @@ TEST(SignService, RejectsUnknownAndVerifyOnlyKeys)
     // Well-formed opt_rand still works.
     auto f = svc.submit("tenant-0",
                         signReq(patternMsg(8), ByteVec(p.n, 0xa5)));
-    EXPECT_EQ(f.get(), scheme.sign(patternMsg(8),
-                                   t.keys.at("tenant-0").sk,
-                                   ByteVec(p.n, 0xa5)));
+    EXPECT_EQ(f.get(),
+              oracle::oracleSign(t.keys.at("tenant-0").sk, patternMsg(8),
+                                 ByteVec(p.n, 0xa5)));
 }
 
 TEST(SignService, AdmissionControlBoundsPending)
@@ -325,7 +323,7 @@ TEST(SignService, SharedCacheAcrossServices)
 
 // Every pool knob at 0 clamps to one worker and a one-entry cache on
 // both planes, and the pair still signs and verifies exactly like the
-// scalar reference. The default config's coalescing windows are
+// spec oracle. The default config's coalescing windows are
 // pinned too: one lane group per sign pass, 4 lane widths per verify
 // pass.
 TEST(SignService, AllZeroPoolKnobsClampAndDefaultWindowsHold)
@@ -349,7 +347,7 @@ TEST(SignService, AllZeroPoolKnobsClampAndDefaultWindowsHold)
     SphincsPlus scheme(p);
     const ByteVec msg = patternMsg(40, 7);
     const ByteVec sig = sign.submit("tenant-0", signReq(msg)).get();
-    EXPECT_EQ(hexEncode(sig), hexEncode(scheme.sign(msg, kp.sk)));
+    EXPECT_EQ(hexEncode(sig), hexEncode(oracle::oracleSign(kp.sk, msg)));
     EXPECT_EQ(verify.submit("tenant-0", verifyReq(msg, sig)).get(),
               scheme.verify(msg, sig, kp.pk));
     EXPECT_TRUE(scheme.verify(msg, sig, kp.pk));
@@ -361,7 +359,7 @@ TEST(SignService, AllZeroPoolKnobsClampAndDefaultWindowsHold)
     EXPECT_EQ(dverify.coalesceWindow(), 4 * sphincs::hashLaneWidth());
 }
 
-TEST(SignService, ByteMatchesScalarForEveryTableISet)
+TEST(SignService, ByteMatchesOracleForEveryTableISet)
 {
     for (const sphincs::Params &p : sphincs::Params::all()) {
         SphincsPlus scheme(p);
@@ -382,7 +380,7 @@ TEST(SignService, ByteMatchesScalarForEveryTableISet)
         for (size_t i = 0; i < msgs.size(); ++i) {
             ByteVec got = futures[i].get();
             EXPECT_EQ(hexEncode(got),
-                      hexEncode(scheme.sign(msgs[i], kp.sk)))
+                      hexEncode(oracle::oracleSign(kp.sk, msgs[i])))
                 << p.name << " msg " << i;
             EXPECT_TRUE(scheme.verify(msgs[i], got, kp.pk));
         }
@@ -396,19 +394,18 @@ TEST(SignService, ByteMatchesScalarForEveryTableISet)
 }
 
 // Whatever group shapes the queue races produce, output bytes match
-// the scalar path per message — 1 worker and 8 workers alike.
+// the oracle per message — 1 worker and 8 workers alike.
 TEST(SignService, WorkerCountInvariance1v8)
 {
     const auto p = miniParams();
     Tenancy t;
     addTenants(t, p, 1);
-    SphincsPlus scheme(p);
     auto msgs = patternBatch(12, 24);
 
     const sphincs::SecretKey &sk = t.keys.at("tenant-0").sk;
     std::vector<std::string> ref;
     for (const ByteVec &m : msgs)
-        ref.push_back(hexEncode(scheme.sign(m, sk)));
+        ref.push_back(hexEncode(oracle::oracleSign(sk, m)));
 
     for (unsigned workers : {1u, 8u}) {
         ServiceConfig cfg;
@@ -472,7 +469,6 @@ TEST(SignService, DestructorCompletesQueuedFutures)
     const auto p = miniParams();
     Tenancy t;
     addTenants(t, p, 1);
-    SphincsPlus scheme(p);
     auto msgs = patternBatch(6, 16);
 
     std::vector<std::future<ByteVec>> futures;
@@ -488,7 +484,7 @@ TEST(SignService, DestructorCompletesQueuedFutures)
     }
     for (size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].get(),
-                  scheme.sign(msgs[i], t.keys.at("tenant-0").sk))
+                  oracle::oracleSign(t.keys.at("tenant-0").sk, msgs[i]))
             << i;
 }
 
@@ -537,7 +533,7 @@ TEST(SignService, MultiProducerStressWithRepeatedDrain)
     for (size_t i = 0; i < results.size(); ++i) {
         ByteVec sig = results[i].second.get();
         EXPECT_EQ(hexEncode(sig),
-                  hexEncode(scheme.sign(results[i].first, sk)))
+                  hexEncode(oracle::oracleSign(sk, results[i].first)))
             << i;
         if (i % 16 == 0) {
             EXPECT_TRUE(scheme.verify(results[i].first, sig,

@@ -1,79 +1,35 @@
 /**
  * @file
- * FORS tests: index extraction, leaf derivation, the sign →
- * pk-from-sig roundtrip property, and the fused forsSign() against a
- * tree-by-tree reference at every lane width.
+ * FORS tests: index extraction, leaf derivation, the sign ->
+ * pk-from-sig roundtrip property, and the fused forsSign() against the
+ * spec oracle's tree-by-tree fors_sign at every lane width.
  */
 
 #include <gtest/gtest.h>
 
+#include "../batch/batch_test_util.hh"
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256.hh"
 #include "hash/sha256xN.hh"
+#include "oracle/spx_oracle.hh"
 #include "sphincs/fors.hh"
-#include "sphincs/merkle.hh"
 #include "sphincs/params.hh"
 #include "sphincs/thash.hh"
 
 using namespace herosign;
 using namespace herosign::sphincs;
+using batchtest::ScopedWidth;
 
 namespace
 {
 
-/** Pin the lane engine to one width for a scope (1 = portable). */
-class ScopedWidth
-{
-  public:
-    explicit ScopedWidth(unsigned width)
-    {
-        sha256LanesForceScalar(width == 1);
-        sha256LanesDisableAvx512(width == 8);
-    }
-    ~ScopedWidth()
-    {
-        sha256LanesForceScalar(false);
-        sha256LanesDisableAvx512(false);
-    }
-};
-
-/**
- * FORS signature built tree after tree from the scalar building
- * blocks: forsSkGen for the secret value, forsGenLeaf leaves through
- * the scalar-leaf LeafFn treehash, then the T_k root compression.
- */
+/** The FORS public key recomputed from a signature, as one lane. */
 void
-referenceForsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
-                  const Context &ctx, const Address &fors_adrs)
+pkFromSig(uint8_t *pk_out, const uint8_t *sig, const uint8_t *mhash,
+          const Context &ctx, const Address &fors_adrs)
 {
-    const Params &p = ctx.params();
-    const unsigned n = p.n;
-    const uint32_t t = p.forsLeaves();
-    uint32_t indices[64];
-    messageToIndices(indices, p, mhash);
-
-    Address tree_adrs = fors_adrs;
-    tree_adrs.setType(AddrType::ForsTree);
-    tree_adrs.setKeypair(fors_adrs.keypair());
-    uint8_t roots[64 * maxN];
-    for (unsigned i = 0; i < p.forsTrees; ++i) {
-        const uint32_t offset = i * t;
-        forsSkGen(sig, ctx, tree_adrs, indices[i] + offset);
-        sig += n;
-        Address adrs = tree_adrs;
-        treehash(roots + i * n, sig, ctx, indices[i], offset,
-                 p.forsHeight,
-                 LeafFn([&](uint8_t *out, uint32_t leaf) {
-                     forsGenLeaf(out, ctx, tree_adrs, leaf + offset);
-                 }),
-                 adrs);
-        sig += p.forsHeight * n;
-    }
-    Address pk_adrs = fors_adrs;
-    pk_adrs.setType(AddrType::ForsRoots);
-    pk_adrs.setKeypair(fors_adrs.keypair());
-    thash(pk_out, ctx, pk_adrs, ByteSpan(roots, p.forsTrees * n));
+    forsPkFromSigXN(&pk_out, &sig, &mhash, ctx, &fors_adrs, 1);
 }
 
 class ForsTest : public ::testing::TestWithParam<const Params *>
@@ -146,7 +102,7 @@ TEST_P(ForsTest, SignRecoverRoundtrip)
     forsSign(sig.data(), pk, mhash.data(), ctx, adrs);
 
     uint8_t recovered[maxN];
-    forsPkFromSig(recovered, sig.data(), mhash.data(), ctx, adrs);
+    pkFromSig(recovered, sig.data(), mhash.data(), ctx, adrs);
     EXPECT_TRUE(ctEqual(ByteSpan(recovered, p().n), ByteSpan(pk, p().n)));
 }
 
@@ -163,7 +119,7 @@ TEST_P(ForsTest, TamperedSignatureChangesPk)
 
     sig[0] ^= 0x01; // corrupt the first revealed secret value
     uint8_t recovered[maxN];
-    forsPkFromSig(recovered, sig.data(), mhash.data(), ctx, adrs);
+    pkFromSig(recovered, sig.data(), mhash.data(), ctx, adrs);
     EXPECT_FALSE(ctEqual(ByteSpan(recovered, p().n),
                          ByteSpan(pk, p().n)));
 }
@@ -182,7 +138,7 @@ TEST_P(ForsTest, DifferentMessageDifferentPkRecovery)
     ByteVec other = mhash;
     other[0] ^= 0x80; // flips the first tree's index
     uint8_t recovered[maxN];
-    forsPkFromSig(recovered, sig.data(), other.data(), ctx, adrs);
+    pkFromSig(recovered, sig.data(), other.data(), ctx, adrs);
     EXPECT_FALSE(ctEqual(ByteSpan(recovered, p().n),
                          ByteSpan(pk, p().n)));
 }
@@ -216,12 +172,16 @@ TEST_P(ForsTest, LeafIsThashOfSk)
     thashF(expected, ctx, leaf_adrs, sk);
 
     uint8_t leaf[maxN];
-    forsGenLeaf(leaf, ctx, adrs, idx);
+    ForsLeafReq req;
+    req.adrs = adrs;
+    req.idx = idx;
+    req.out = leaf;
+    forsLeafBatch(ctx, &req, 1);
     EXPECT_TRUE(ctEqual(ByteSpan(leaf, p().n),
                         ByteSpan(expected, p().n)));
 }
 
-TEST(ForsFusion, FusedSignMatchesPerTreeReferenceAtEveryWidth)
+TEST(ForsFusion, FusedSignMatchesOracleAtEveryWidth)
 {
     // k = 5 sits below both lane widths, so the whole forest is one
     // ragged group; n = 24 makes every node combine two blocks.
@@ -238,7 +198,7 @@ TEST(ForsFusion, FusedSignMatchesPerTreeReferenceAtEveryWidth)
     struct Case
     {
         const Params *p;
-        uint64_t comps; ///< expected compressions; 0 = parity only
+        uint64_t comps; ///< pinned compressions; 0 = parity only
     };
     const Case cases[] = {
         {&Params::sphincs128f(), 6345},
@@ -249,7 +209,9 @@ TEST(ForsFusion, FusedSignMatchesPerTreeReferenceAtEveryWidth)
     for (const Case &c : cases) {
         const Params &p = *c.p;
         Rng rng(36);
-        Context ctx(p, rng.bytes(p.n), rng.bytes(p.n));
+        const ByteVec pk_seed = rng.bytes(p.n);
+        const ByteVec sk_seed = rng.bytes(p.n);
+        Context ctx(p, pk_seed, sk_seed);
         Address adrs;
         adrs.setLayer(0);
         adrs.setTree(77);
@@ -257,20 +219,11 @@ TEST(ForsFusion, FusedSignMatchesPerTreeReferenceAtEveryWidth)
         adrs.setKeypair(3);
         const ByteVec mhash = rng.bytes(p.forsMsgBytes());
 
-        ByteVec want_sig(p.forsSigBytes());
-        uint8_t want_pk[maxN];
-        uint64_t want_comps;
-        {
-            ScopedWidth w(1);
-            const uint64_t c0 = Sha256::compressionCount();
-            referenceForsSign(want_sig.data(), want_pk, mhash.data(), ctx,
-                              adrs);
-            want_comps = Sha256::compressionCount() - c0;
-        }
-        if (c.comps != 0) {
-            EXPECT_EQ(want_comps, c.comps) << p.name;
-        }
+        const oracle::SpxOracle spx(p, pk_seed, sk_seed);
+        const ByteVec want_sig = spx.forsSign(mhash, adrs);
+        const ByteVec want_pk = spx.forsPkFromSig(want_sig, mhash, adrs);
 
+        uint64_t first_comps = 0;
         for (unsigned width : {1u, 8u, 16u}) {
             ScopedWidth w(width);
             ByteVec sig(p.forsSigBytes());
@@ -279,10 +232,14 @@ TEST(ForsFusion, FusedSignMatchesPerTreeReferenceAtEveryWidth)
             forsSign(sig.data(), pk, mhash.data(), ctx, adrs);
             const uint64_t comps = Sha256::compressionCount() - c0;
             EXPECT_EQ(sig, want_sig) << p.name << " width " << width;
-            EXPECT_EQ(hexEncode(ByteSpan(pk, p.n)),
-                      hexEncode(ByteSpan(want_pk, p.n)))
+            EXPECT_EQ(hexEncode(ByteSpan(pk, p.n)), hexEncode(want_pk))
                 << p.name << " width " << width;
-            EXPECT_EQ(comps, want_comps) << p.name << " width " << width;
+            if (width == 1)
+                first_comps = comps;
+            EXPECT_EQ(comps, first_comps) << p.name << " width " << width;
+            if (c.comps != 0) {
+                EXPECT_EQ(comps, c.comps) << p.name << " width " << width;
+            }
         }
     }
 }

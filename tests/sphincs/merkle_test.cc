@@ -1,13 +1,15 @@
 /**
  * @file
- * Treehash / auth-path / computeRoot algebra, with a synthetic leaf
- * function so trees of several heights can be exercised cheaply, plus
- * the real wots_gen_leaf path.
+ * TreehashStream / auth-path / computeRootXN algebra, with a synthetic
+ * leaf function so trees of several heights can be exercised cheaply,
+ * plus merkleSign and the simulator's wotsGenLeaf against the spec
+ * oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "oracle/spx_oracle.hh"
 #include "sphincs/merkle.hh"
 #include "sphincs/params.hh"
 #include "sphincs/thash.hh"
@@ -25,19 +27,39 @@ makeContext(Rng &rng, const Params &p)
     return Context(p, rng.bytes(p.n), rng.bytes(p.n));
 }
 
-/** Deterministic synthetic leaf: F(index bytes) under a Tree address. */
-LeafFn
-syntheticLeaf(const Context &ctx, uint32_t idx_offset)
+/** Deterministic synthetic leaf: F(index bytes) under a FORS address. */
+void
+syntheticLeaf(uint8_t *out, const Context &ctx, uint32_t idx)
 {
-    return [&ctx, idx_offset](uint8_t *out, uint32_t idx) {
-        uint8_t seed[maxN] = {};
-        storeBe32(seed, idx + idx_offset);
-        Address a;
-        a.setType(AddrType::ForsTree);
-        a.setTreeHeight(0);
-        a.setTreeIndex(idx + idx_offset);
-        thashF(out, ctx, a, seed);
-    };
+    uint8_t seed[maxN] = {};
+    storeBe32(seed, idx);
+    Address a;
+    a.setType(AddrType::ForsTree);
+    a.setTreeHeight(0);
+    a.setTreeIndex(idx);
+    thashF(out, ctx, a, seed);
+}
+
+/**
+ * Root (and optionally the auth path of @p leaf_idx) of the tree of
+ * synthetic leaves idx_offset .. idx_offset + 2^height - 1, absorbed
+ * one leaf at a time into a lone stream.
+ */
+void
+streamTree(uint8_t *root, uint8_t *auth, const Context &ctx,
+           uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
+           const Address &adrs)
+{
+    TreehashStream stream;
+    stream.begin(ctx, height, leaf_idx, idx_offset, auth, adrs);
+    TreehashStream *const streams[1] = {&stream};
+    uint8_t leaf[maxN];
+    const uint8_t *leaves[1] = {leaf};
+    for (uint32_t i = 0; i < stream.total(); ++i) {
+        syntheticLeaf(leaf, ctx, idx_offset + i);
+        TreehashStream::absorbLockstep(streams, leaves, 1);
+    }
+    std::memcpy(root, stream.root(), ctx.params().n);
 }
 
 } // namespace
@@ -60,21 +82,20 @@ TEST_P(TreehashProperty, AuthPathReconstructsRoot)
     Address tree_adrs;
     tree_adrs.setType(AddrType::ForsTree);
 
-    auto leaf_fn = syntheticLeaf(ctx, 0);
-
     ByteVec auth(height * p.n);
     uint8_t root[maxN];
-    treehash(root, auth.data(), ctx, leaf_idx, 0, height, leaf_fn,
-             tree_adrs);
+    streamTree(root, auth.data(), ctx, leaf_idx, 0, height, tree_adrs);
 
     uint8_t leaf[maxN];
-    leaf_fn(leaf, leaf_idx);
+    syntheticLeaf(leaf, ctx, leaf_idx);
 
-    Address verify_adrs;
-    verify_adrs.setType(AddrType::ForsTree);
     uint8_t rebuilt[maxN];
-    computeRoot(rebuilt, ctx, leaf, leaf_idx, 0, auth.data(), height,
-                verify_adrs);
+    uint8_t *const out[1] = {rebuilt};
+    const uint8_t *const in[1] = {leaf};
+    const uint8_t *const paths[1] = {auth.data()};
+    const uint32_t offset = 0;
+    computeRootXN(out, ctx, in, &leaf_idx, &offset, paths, height,
+                  &tree_adrs, 1);
 
     EXPECT_TRUE(ctEqual(ByteSpan(rebuilt, p.n), ByteSpan(root, p.n)));
 }
@@ -89,17 +110,14 @@ TEST(Treehash, RootIndependentOfAuthLeaf)
     Rng rng(50);
     Context ctx = makeContext(rng, p);
 
-    Address adrs_a, adrs_b;
-    adrs_a.setType(AddrType::ForsTree);
-    adrs_b.setType(AddrType::ForsTree);
-
-    auto leaf_fn = syntheticLeaf(ctx, 0);
+    Address adrs;
+    adrs.setType(AddrType::ForsTree);
     const unsigned height = 4;
 
     ByteVec auth(height * p.n);
     uint8_t root_a[maxN], root_b[maxN];
-    treehash(root_a, auth.data(), ctx, 3, 0, height, leaf_fn, adrs_a);
-    treehash(root_b, auth.data(), ctx, 11, 0, height, leaf_fn, adrs_b);
+    streamTree(root_a, auth.data(), ctx, 3, 0, height, adrs);
+    streamTree(root_b, auth.data(), ctx, 11, 0, height, adrs);
     EXPECT_TRUE(ctEqual(ByteSpan(root_a, p.n), ByteSpan(root_b, p.n)));
 }
 
@@ -111,9 +129,7 @@ TEST(Treehash, NullAuthPathAllowed)
     Address adrs;
     adrs.setType(AddrType::ForsTree);
     uint8_t root[maxN];
-    auto leaf_fn = syntheticLeaf(ctx, 0);
-    EXPECT_NO_THROW(
-        treehash(root, nullptr, ctx, 0, 0, 3, leaf_fn, adrs));
+    EXPECT_NO_THROW(streamTree(root, nullptr, ctx, 0, 0, 3, adrs));
 }
 
 TEST(Treehash, IdxOffsetChangesRoot)
@@ -124,21 +140,51 @@ TEST(Treehash, IdxOffsetChangesRoot)
     Rng rng(52);
     Context ctx = makeContext(rng, p);
 
-    Address a1, a2;
-    a1.setType(AddrType::ForsTree);
-    a2.setType(AddrType::ForsTree);
+    Address adrs;
+    adrs.setType(AddrType::ForsTree);
 
     uint8_t r1[maxN], r2[maxN];
-    treehash(r1, nullptr, ctx, 0, 0, 3, syntheticLeaf(ctx, 0), a1);
-    treehash(r2, nullptr, ctx, 0, 8, 3, syntheticLeaf(ctx, 8), a2);
+    streamTree(r1, nullptr, ctx, 0, 0, 3, adrs);
+    streamTree(r2, nullptr, ctx, 0, 8, 3, adrs);
     EXPECT_FALSE(ctEqual(ByteSpan(r1, p.n), ByteSpan(r2, p.n)));
 }
 
-TEST(MerkleSign, RootMatchesComputeRootThroughWots)
+TEST(Treehash, StreamRejectsMisuse)
+{
+    const Params &p = Params::sphincs128f();
+    Rng rng(56);
+    Context ctx = makeContext(rng, p);
+    Address adrs;
+    TreehashStream tall;
+    EXPECT_THROW(tall.begin(ctx, TreehashStream::maxHeight + 1, 0, 0,
+                            nullptr, adrs),
+                 std::invalid_argument);
+
+    // Streams of different heights cannot share a lockstep group, and
+    // no stream takes more than its 2^height leaves.
+    TreehashStream a, b;
+    a.begin(ctx, 1, 0, 0, nullptr, adrs);
+    b.begin(ctx, 2, 0, 0, nullptr, adrs);
+    uint8_t leaf[maxN] = {};
+    const uint8_t *leaves[2] = {leaf, leaf};
+    TreehashStream *mixed[2] = {&a, &b};
+    EXPECT_THROW(TreehashStream::absorbLockstep(mixed, leaves, 2),
+                 std::invalid_argument);
+    TreehashStream *lone[1] = {&a};
+    TreehashStream::absorbLockstep(lone, leaves, 1);
+    TreehashStream::absorbLockstep(lone, leaves, 1);
+    EXPECT_TRUE(a.done());
+    EXPECT_THROW(TreehashStream::absorbLockstep(lone, leaves, 1),
+                 std::invalid_argument);
+}
+
+TEST(MerkleSign, MatchesOracleXmssSign)
 {
     const Params &p = Params::sphincs128f();
     Rng rng(53);
-    Context ctx = makeContext(rng, p);
+    const ByteVec pk_seed = rng.bytes(p.n);
+    const ByteVec sk_seed = rng.bytes(p.n);
+    Context ctx(p, pk_seed, sk_seed);
 
     const uint32_t layer = 1;
     const uint64_t tree = 9;
@@ -149,32 +195,23 @@ TEST(MerkleSign, RootMatchesComputeRootThroughWots)
     uint8_t root[maxN];
     merkleSign(sig.data(), root, ctx, layer, tree, leaf_idx, msg.data());
 
-    // Verify side: recover the WOTS pk, then climb the auth path.
-    Address wots_adrs;
-    wots_adrs.setLayer(layer);
-    wots_adrs.setTree(tree);
-    wots_adrs.setType(AddrType::WotsHash);
-    wots_adrs.setKeypair(leaf_idx);
-
-    uint8_t leaf[maxN];
-    wotsPkFromSig(leaf, sig.data(), msg.data(), ctx, wots_adrs);
-
-    Address tree_adrs;
-    tree_adrs.setLayer(layer);
-    tree_adrs.setTree(tree);
-    tree_adrs.setType(AddrType::Tree);
-
-    uint8_t rebuilt[maxN];
-    computeRoot(rebuilt, ctx, leaf, leaf_idx, 0,
-                sig.data() + p.wotsSigBytes(), p.treeHeight(), tree_adrs);
-    EXPECT_TRUE(ctEqual(ByteSpan(rebuilt, p.n), ByteSpan(root, p.n)));
+    const oracle::SpxOracle spx(p, pk_seed, sk_seed);
+    Address adrs;
+    adrs.setLayer(layer);
+    adrs.setTree(tree);
+    EXPECT_EQ(sig, spx.xmssSign(msg, leaf_idx, adrs));
+    const ByteVec want_root = spx.treehash(0, p.treeHeight(), adrs);
+    EXPECT_TRUE(ctEqual(ByteSpan(root, p.n), want_root));
+    EXPECT_EQ(spx.xmssPkFromSig(leaf_idx, sig, msg, adrs), want_root);
 }
 
-TEST(MerkleSign, WotsGenLeafMatchesPkGen)
+TEST(MerkleSign, WotsGenLeafMatchesOracle)
 {
     const Params &p = Params::sphincs128f();
     Rng rng(54);
-    Context ctx = makeContext(rng, p);
+    const ByteVec pk_seed = rng.bytes(p.n);
+    const ByteVec sk_seed = rng.bytes(p.n);
+    Context ctx(p, pk_seed, sk_seed);
 
     uint8_t leaf[maxN];
     wotsGenLeaf(leaf, ctx, 2, 4, 1);
@@ -184,8 +221,7 @@ TEST(MerkleSign, WotsGenLeafMatchesPkGen)
     adrs.setTree(4);
     adrs.setType(AddrType::WotsHash);
     adrs.setKeypair(1);
-    uint8_t pk[maxN];
-    wotsPkGen(pk, ctx, adrs);
-
-    EXPECT_TRUE(ctEqual(ByteSpan(leaf, p.n), ByteSpan(pk, p.n)));
+    const ByteVec want =
+        oracle::SpxOracle(p, pk_seed, sk_seed).wotsPkGen(adrs);
+    EXPECT_TRUE(ctEqual(ByteSpan(leaf, p.n), want));
 }

@@ -2,10 +2,10 @@
  * @file
  * Batched tweakable-hash layer tests: thashFX/prfAddrX against the
  * scalar calls (full, partial and 16-lane batches), the batched
- * WOTS+/FORS leaf generators against scalar reconstructions from the
- * remaining scalar building blocks, batched-vs-scalar treehash, and
- * end-to-end sign/verify byte-equality plus compression-count parity
- * across the AVX-512 (width 16), AVX2 (width 8) and portable
+ * WOTS+/FORS leaf generators against reconstructions from the scalar
+ * building blocks the simulator kernels use, and end-to-end keygen and
+ * sign byte-equality with the spec oracle plus compression-count
+ * parity across the AVX-512 (width 16), AVX2 (width 8) and portable
  * backends.
  */
 
@@ -14,8 +14,8 @@
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
+#include "oracle_ref.hh"
 #include "sphincs/fors.hh"
-#include "sphincs/merkle.hh"
 #include "sphincs/sphincs.hh"
 #include "sphincs/thashx.hh"
 #include "sphincs/wots.hh"
@@ -245,7 +245,7 @@ scalarWotsLeaf(uint8_t *pk_out, const Context &ctx, uint32_t layer,
     thash(pk_out, ctx, pk_adrs, ByteSpan(chains, len * n));
 }
 
-TEST(BatchedLeaves, WotsPkGenXNMatchesScalarComposition)
+TEST(BatchedLeaves, WotsLeafBatchMatchesScalarComposition)
 {
     for (const Params *pp : {&Params::sphincs128f(),
                              &Params::sphincs192f(),
@@ -255,9 +255,17 @@ TEST(BatchedLeaves, WotsPkGenXNMatchesScalarComposition)
         const uint32_t layer = 1, leaf0 = 4;
         const uint64_t tree = 77;
 
-        for (unsigned count : {1u, 3u, 8u, 11u, 16u}) {
+        // 19 spans one full internal sub-batch plus a ragged one.
+        for (unsigned count : {1u, 3u, 8u, 11u, 16u, 19u}) {
             std::vector<uint8_t> pks(count * p.n);
-            wotsPkGenXN(pks.data(), ctx, layer, tree, leaf0, count);
+            std::vector<WotsLeafReq> reqs(count);
+            for (unsigned j = 0; j < count; ++j) {
+                reqs[j].layer = layer;
+                reqs[j].tree = tree;
+                reqs[j].keypair = leaf0 + j;
+                reqs[j].leafOut = pks.data() + j * p.n;
+            }
+            wotsLeafBatch(ctx, reqs.data(), count);
             for (unsigned j = 0; j < count; ++j) {
                 uint8_t expected[maxN];
                 scalarWotsLeaf(expected, ctx, layer, tree, leaf0 + j);
@@ -295,69 +303,19 @@ TEST(BatchedLeaves, ForsLeafBatchMatchesScalar)
         }
         forsLeafBatch(ctx, reqs.data(), count);
         for (unsigned j = 0; j < count; ++j) {
-            uint8_t expected[maxN];
-            forsGenLeaf(expected, ctx, fors_adrs[j % 2], 40 + j);
+            // F of the secret value, from the scalar building blocks.
+            uint8_t sk[maxN], expected[maxN];
+            forsSkGen(sk, ctx, fors_adrs[j % 2], 40 + j);
+            Address leaf_adrs = fors_adrs[j % 2];
+            leaf_adrs.setTreeHeight(0);
+            leaf_adrs.setTreeIndex(40 + j);
+            thashF(expected, ctx, leaf_adrs, sk);
             EXPECT_EQ(
                 hexEncode(ByteSpan(leaves.data() + j * p.n, p.n)),
                 hexEncode(ByteSpan(expected, p.n)))
                 << "count " << count << " leaf " << j;
         }
     }
-}
-
-TEST(BatchedTreehash, BatchedAndScalarLeafFnAgree)
-{
-    const Params &p = Params::sphincs128f();
-    Context ctx = makeContext(p, 17);
-    const unsigned height = 4;
-    const uint32_t leaf_idx = 5;
-
-    auto leaf_bytes = [&](uint32_t idx) {
-        ByteVec leaf(p.n, 0);
-        for (unsigned i = 0; i < p.n; ++i)
-            leaf[i] = static_cast<uint8_t>(idx * 31 + i);
-        return leaf;
-    };
-
-    Address adrs_a;
-    adrs_a.setType(AddrType::Tree);
-    uint8_t root_a[maxN], auth_a[maxTreeHeight * maxN];
-    treehash(root_a, auth_a, ctx, leaf_idx, 0, height,
-             LeafFn([&](uint8_t *out, uint32_t idx) {
-                 auto leaf = leaf_bytes(idx);
-                 std::memcpy(out, leaf.data(), p.n);
-             }),
-             adrs_a);
-
-    Address adrs_b;
-    adrs_b.setType(AddrType::Tree);
-    uint8_t root_b[maxN], auth_b[maxTreeHeight * maxN];
-    auto gen_batch = [&](uint8_t *out, uint32_t start, uint32_t count) {
-        EXPECT_LE(count, hashLaneWidth());
-        for (uint32_t j = 0; j < count; ++j) {
-            auto leaf = leaf_bytes(start + j);
-            std::memcpy(out + j * p.n, leaf.data(), p.n);
-        }
-    };
-    treehash(root_b, auth_b, ctx, leaf_idx, 0, height, gen_batch,
-             adrs_b);
-
-    EXPECT_EQ(hexEncode(ByteSpan(root_a, p.n)),
-              hexEncode(ByteSpan(root_b, p.n)));
-    EXPECT_EQ(hexEncode(ByteSpan(auth_a, height * p.n)),
-              hexEncode(ByteSpan(auth_b, height * p.n)));
-}
-
-TEST(BatchedTreehash, RejectsOversizedHeight)
-{
-    const Params &p = Params::sphincs128f();
-    Context ctx = makeContext(p, 19);
-    Address adrs;
-    uint8_t root[maxN];
-    auto no_leaves = [](uint8_t *, uint32_t, uint32_t) {};
-    EXPECT_THROW(treehash(root, nullptr, ctx, 0, 0, maxTreeHeight + 1,
-                          no_leaves, adrs),
-                 std::invalid_argument);
 }
 
 /**
@@ -396,7 +354,7 @@ TEST(BackendEquivalence, SignaturesByteIdenticalAcrossAllWidths)
     // Cross-width byte-identity on every Table I set: the scalar
     // path, the width-8 path (AVX-512 disabled) and the full
     // dispatched path (width 16 where the host supports it) must
-    // produce identical keys, identical signatures, identical verify
+    // produce the spec oracle's key and signature, identical verify
     // verdicts and identical compression counts.
     for (const Params *pp : {&Params::sphincs128f(),
                              &Params::sphincs192f(),
@@ -409,6 +367,17 @@ TEST(BackendEquivalence, SignaturesByteIdenticalAcrossAllWidths)
         ModeResult scalar = runMode(p, seed, msg, true, false);
         ModeResult x8 = runMode(p, seed, msg, false, true);
         ModeResult widest = runMode(p, seed, msg, false, false);
+
+        const oracle::SpxOracle spx(
+            p, ByteSpan(seed).subspan(2 * p.n, p.n),
+            ByteSpan(seed).first(p.n));
+        const ByteVec want_root = spx.pkRoot();
+        EXPECT_EQ(hexEncode(scalar.pkRoot), hexEncode(want_root))
+            << p.name;
+        EXPECT_EQ(hexEncode(scalar.sig),
+                  hexEncode(spx.sign(msg, ByteSpan(seed).subspan(p.n, p.n),
+                                     want_root)))
+            << p.name;
 
         EXPECT_EQ(hexEncode(scalar.pkRoot), hexEncode(x8.pkRoot))
             << p.name;

@@ -1,12 +1,12 @@
 /**
  * @file
- * Batched lane-parallel verification equivalence: verifyBatch must be
- * bool-identical to scalar verify for every lane composition — full
- * and ragged groups, mixed valid/invalid lanes, malformed lengths —
- * on the AVX-512 (width 16), AVX2 (width 8) and forced-scalar hash
- * backends, and the kernel-level XN primitives must be byte-identical
- * to their scalar counterparts at every lane count 1..16.
- * Golden-vector checks pin the real Table I parameter sets.
+ * Batched lane-parallel verification: verifyBatch verdicts must equal
+ * the spec oracle's for every lane composition — full and ragged
+ * groups, mixed valid/invalid lanes, malformed lengths — on the
+ * AVX-512 (width 16), AVX2 (width 8) and forced-scalar hash backends,
+ * and the kernel-level XN primitives must match the oracle's
+ * pk-from-sig byte for byte at every lane count 1..16. Golden-vector
+ * checks pin the real Table I parameter sets.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +17,9 @@
 #include "../batch/batch_test_util.hh"
 #include "common/hex.hh"
 #include "hash/sha256xN.hh"
+#include "oracle_ref.hh"
 #include "sphincs/fors.hh"
-#include "sphincs/merkle.hh"
 #include "sphincs/sphincs.hh"
-#include "sphincs/thash.hh"
 #include "sphincs/wots.hh"
 
 using namespace herosign;
@@ -55,20 +54,20 @@ runVerifyBatch(const SphincsPlus &scheme, const PublicKey &pk,
 }
 
 void
-expectBatchMatchesScalar(const SphincsPlus &scheme, const PublicKey &pk,
+expectBatchMatchesOracle(const SphincsPlus &scheme, const PublicKey &pk,
                          const std::vector<ByteVec> &msgs,
                          const std::vector<ByteVec> &sigs)
 {
     auto batch = runVerifyBatch(scheme, pk, msgs, sigs);
     for (size_t i = 0; i < msgs.size(); ++i) {
-        EXPECT_EQ(batch[i], scheme.verify(msgs[i], sigs[i], pk))
+        EXPECT_EQ(batch[i], oracle::oracleVerify(pk, msgs[i], sigs[i]))
             << "lane " << i;
     }
 }
 
 } // namespace
 
-TEST(VerifyBatch, RaggedCountsMatchScalarOnMini)
+TEST(VerifyBatch, RaggedCountsMatchOracleOnMini)
 {
     const auto p = miniParams();
     SphincsPlus scheme(p);
@@ -84,7 +83,7 @@ TEST(VerifyBatch, RaggedCountsMatchScalarOnMini)
     for (unsigned count : {1u, 2u, 7u, 8u, 9u, 11u, 15u, 16u, 19u}) {
         std::vector<ByteVec> m(msgs.begin(), msgs.begin() + count);
         std::vector<ByteVec> s(sigs.begin(), sigs.begin() + count);
-        expectBatchMatchesScalar(scheme, kp.pk, m, s);
+        expectBatchMatchesOracle(scheme, kp.pk, m, s);
         auto ok = runVerifyBatch(scheme, kp.pk, m, s);
         for (unsigned i = 0; i < count; ++i)
             EXPECT_TRUE(ok[i]) << count << "/" << i;
@@ -114,14 +113,14 @@ TEST(VerifyBatch, MixedValidInvalidAndMalformedLanes)
     sigs[6].push_back(0);                // extended
     msgs[8][1] ^= 0x80;                  // message mismatch
 
-    expectBatchMatchesScalar(scheme, kp.pk, msgs, sigs);
+    expectBatchMatchesOracle(scheme, kp.pk, msgs, sigs);
     auto ok = runVerifyBatch(scheme, kp.pk, msgs, sigs);
     EXPECT_EQ(ok, (std::vector<bool>{false, true, false, false, true,
                                      false, false, true, false, true}));
 
     // Same verdicts on the portable scalar lanes.
     ScalarGuard guard;
-    expectBatchMatchesScalar(scheme, kp.pk, msgs, sigs);
+    expectBatchMatchesOracle(scheme, kp.pk, msgs, sigs);
     EXPECT_EQ(runVerifyBatch(scheme, kp.pk, msgs, sigs), ok);
 }
 
@@ -156,17 +155,19 @@ TEST(VerifyBatch, WarmContextOverloadAndMismatchThrows)
               scheme.sign(msg, kp.sk));
 }
 
-TEST(VerifyBatch, KernelPrimitivesByteIdenticalToScalar)
+TEST(VerifyBatch, KernelPrimitivesMatchOracle)
 {
     const auto p = miniParams();
     SphincsPlus scheme(p);
     auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(p));
     Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
+    const oracle::SpxOracle spx(p, kp.sk.pkSeed);
     const unsigned n = p.n;
+    const size_t wots_sig = p.wotsSigBytes();
 
     // Sixteen WOTS keypairs: sign a message each, then recompute the
-    // leaf batched (every greedy-split shape) and scalar and compare
-    // bytes.
+    // leaf batched (every greedy-split shape) and compare with the
+    // oracle's wots_pkFromSig.
     uint8_t sigs[16][maxWotsLen * maxN];
     uint8_t msgs[16][maxN];
     Address adrs[16];
@@ -190,10 +191,10 @@ TEST(VerifyBatch, KernelPrimitivesByteIdenticalToScalar)
         wotsPkFromSigXN(batch_ptrs, sig_ptrs, msg_ptrs, ctx, adrs,
                         count);
         for (unsigned l = 0; l < count; ++l) {
-            uint8_t ref[maxN];
-            wotsPkFromSig(ref, sigs[l], msgs[l], ctx, adrs[l]);
-            EXPECT_EQ(hexEncode(ByteSpan(batch_pk[l], n)),
-                      hexEncode(ByteSpan(ref, n)))
+            const ByteVec ref = spx.wotsPkFromSig(
+                ByteSpan(sigs[l], wots_sig), ByteSpan(msgs[l], n),
+                adrs[l]);
+            EXPECT_EQ(hexEncode(ByteSpan(batch_pk[l], n)), hexEncode(ref))
                 << "count " << count << " lane " << l;
         }
     }
@@ -225,11 +226,10 @@ TEST(VerifyBatch, KernelPrimitivesByteIdenticalToScalar)
         forsPkFromSigXN(froot_ptrs, fsig_ptrs, fmsg_ptrs, ctx, fadrs,
                         count);
         for (unsigned l = 0; l < count; ++l) {
-            uint8_t ref[maxN];
-            forsPkFromSig(ref, fsigs[l].data(), fmsgs[l], ctx,
-                          fadrs[l]);
+            const ByteVec ref = spx.forsPkFromSig(
+                fsigs[l], ByteSpan(fmsgs[l], p.forsMsgBytes()), fadrs[l]);
             EXPECT_EQ(hexEncode(ByteSpan(froot_batch[l], n)),
-                      hexEncode(ByteSpan(ref, n)))
+                      hexEncode(ref))
                 << "count " << count << " lane " << l;
         }
     }
@@ -239,7 +239,7 @@ class VerifyBatchGolden : public ::testing::TestWithParam<const Params *>
 {
 };
 
-TEST_P(VerifyBatchGolden, TableISetsMatchScalarOnBothBackends)
+TEST_P(VerifyBatchGolden, TableISetsMatchOracleOnBothBackends)
 {
     const Params &p = *GetParam();
     SphincsPlus scheme(p);
@@ -259,13 +259,13 @@ TEST_P(VerifyBatchGolden, TableISetsMatchScalarOnBothBackends)
     }
     sigs[2][sigs[2].size() / 2] ^= 0x04;
 
-    expectBatchMatchesScalar(scheme, kp.pk, msgs, sigs);
+    expectBatchMatchesOracle(scheme, kp.pk, msgs, sigs);
     auto avx = runVerifyBatch(scheme, kp.pk, msgs, sigs);
     EXPECT_EQ(avx,
               (std::vector<bool>{true, true, false, true}));
 
     ScalarGuard guard;
-    expectBatchMatchesScalar(scheme, kp.pk, msgs, sigs);
+    expectBatchMatchesOracle(scheme, kp.pk, msgs, sigs);
     EXPECT_EQ(runVerifyBatch(scheme, kp.pk, msgs, sigs), avx);
 }
 

@@ -4,9 +4,10 @@
  * flip a bit in every n-byte block of a golden signature — the
  * randomizer, each FORS secret value and auth-path node, every WOTS+
  * chain of every hypertree layer, and every hypertree auth-path node
- * — and assert that the scalar verifier and the batched lane-parallel
- * verifier both reject, and always agree. Valid lanes interleaved
- * into every batched group prove corruption cannot leak across lanes.
+ * — and assert that the batched lane-parallel verifier rejects, with
+ * the same verdict as the spec oracle. Truncation, extension and a
+ * wrong key are held to the oracle too. Valid lanes interleaved into
+ * every batched group prove corruption cannot leak across lanes.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle_ref.hh"
 #include "sphincs/sphincs.hh"
 
 using namespace herosign;
@@ -57,7 +59,7 @@ class VerifyNegative : public ::testing::TestWithParam<const Params *>
 
 } // namespace
 
-TEST_P(VerifyNegative, EveryCorruptedRegionRejectsOnBothPaths)
+TEST_P(VerifyNegative, EveryCorruptedRegionRejectsLikeTheOracle)
 {
     const Params &p = *GetParam();
     SphincsPlus scheme(p);
@@ -78,9 +80,11 @@ TEST_P(VerifyNegative, EveryCorruptedRegionRejectsOnBothPaths)
                       (p.wotsLen() + p.treeHeight()));
 
     Context ctx(p, kp.pk.pkSeed, {});
+    const oracle::SpxOracle spx(p, kp.pk.pkSeed);
     ByteVec flipped = good;
     std::vector<ByteVec> group_store;
     std::vector<size_t> group_blocks;
+    std::vector<bool> group_want;
     group_store.reserve(7);
 
     auto flush_group = [&] {
@@ -96,22 +100,25 @@ TEST_P(VerifyNegative, EveryCorruptedRegionRejectsOnBothPaths)
         std::unique_ptr<bool[]> ok(new bool[sigs.size()]);
         scheme.verifyBatch(ctx, msgs.data(), sigs.data(), kp.pk,
                            ok.get(), sigs.size());
-        for (size_t i = 0; i < group_store.size(); ++i)
+        for (size_t i = 0; i < group_store.size(); ++i) {
             EXPECT_FALSE(ok[i])
                 << p.name << ": batched verify accepted corrupted "
                 << regionOf(p, group_blocks[i]);
+            EXPECT_EQ(ok[i], group_want[i])
+                << p.name << ": verdict differs from the oracle on "
+                << regionOf(p, group_blocks[i]);
+        }
         EXPECT_TRUE(ok[group_store.size()])
             << p.name << ": valid lane rejected in corrupted company";
         group_store.clear();
         group_blocks.clear();
+        group_want.clear();
     };
 
     for (size_t b = 0; b < blocks; ++b) {
         const size_t byte = b * p.n;
         flipped[byte] ^= 0x01;
-        EXPECT_FALSE(scheme.verify(ctx, msg, flipped, kp.pk))
-            << p.name << ": scalar verify accepted corrupted "
-            << regionOf(p, b);
+        group_want.push_back(spx.verify(msg, flipped, kp.pk.pkRoot));
         group_store.push_back(flipped);
         group_blocks.push_back(b);
         if (group_store.size() == 7)
@@ -120,19 +127,30 @@ TEST_P(VerifyNegative, EveryCorruptedRegionRejectsOnBothPaths)
     }
     flush_group();
 
-    // Length corruption rejects on both paths too.
-    ByteVec shorter(good.begin(), good.end() - 1);
+    // Truncation, extension and a wrong key, in one group beside a
+    // valid lane: every verdict is the oracle's.
+    const auto other = scheme.keygenFromSeed(ByteVec(3 * p.n, 0x5c));
+    const ByteVec shorter(good.begin(), good.end() - 1);
     ByteVec longer = good;
     longer.push_back(0);
-    EXPECT_FALSE(scheme.verify(msg, shorter, kp.pk));
-    EXPECT_FALSE(scheme.verify(msg, longer, kp.pk));
-    ByteSpan m(msg);
-    ByteSpan bad_sigs[2] = {ByteSpan(shorter), ByteSpan(longer)};
-    ByteSpan msgs2[2] = {m, m};
-    bool ok2[2] = {true, true};
-    scheme.verifyBatch(ctx, msgs2, bad_sigs, kp.pk, ok2, 2);
-    EXPECT_FALSE(ok2[0]);
-    EXPECT_FALSE(ok2[1]);
+    const ByteVec foreign = scheme.sign(msg, other.sk);
+    const ByteVec *cases[4] = {&shorter, &longer, &foreign, &good};
+    ByteSpan msgs4[4], sigs4[4];
+    bool ok4[4] = {true, true, true, false};
+    for (unsigned i = 0; i < 4; ++i) {
+        msgs4[i] = ByteSpan(msg);
+        sigs4[i] = ByteSpan(*cases[i]);
+    }
+    scheme.verifyBatch(ctx, msgs4, sigs4, kp.pk, ok4, 4);
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_EQ(ok4[i], oracle::oracleVerify(kp.pk, msg, *cases[i]))
+            << p.name << " case " << i;
+    EXPECT_FALSE(ok4[0] || ok4[1] || ok4[2]);
+    EXPECT_TRUE(ok4[3]);
+
+    // A valid signature under the other key's public key.
+    EXPECT_FALSE(scheme.verify(msg, good, other.pk));
+    EXPECT_FALSE(oracle::oracleVerify(other.pk, msg, good));
 }
 
 INSTANTIATE_TEST_SUITE_P(TableI, VerifyNegative,

@@ -1,12 +1,14 @@
 /**
  * @file
- * WOTS+ tests: base-w digits, checksum, chain algebra, and the core
- * sign → pk-from-sig == pk-gen property across all parameter sets.
+ * WOTS+ tests: base-w digits, checksum, chain algebra, the core
+ * sign -> pk-from-sig == pk-gen property, and every WOTS+ entry point
+ * against the spec oracle, across all parameter sets.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "oracle/spx_oracle.hh"
 #include "sphincs/params.hh"
 #include "sphincs/thash.hh"
 #include "sphincs/wots.hh"
@@ -16,6 +18,26 @@ using namespace herosign::sphincs;
 
 namespace
 {
+
+/** The compressed public key of the keypair @p adrs names. */
+void
+pkGen(uint8_t *pk_out, const Context &ctx, const Address &adrs)
+{
+    WotsLeafReq req;
+    req.layer = adrs.layer();
+    req.tree = adrs.tree();
+    req.keypair = adrs.keypair();
+    req.leafOut = pk_out;
+    wotsLeafBatch(ctx, &req, 1);
+}
+
+/** The public key recomputed from a signature, as one lane. */
+void
+pkFromSig(uint8_t *pk_out, const uint8_t *sig, const uint8_t *msg,
+          const Context &ctx, const Address &adrs)
+{
+    wotsPkFromSigXN(&pk_out, &sig, &msg, ctx, &adrs, 1);
+}
 
 class WotsTest : public ::testing::TestWithParam<const Params *>
 {
@@ -140,7 +162,7 @@ TEST_P(WotsTest, SignThenRecoverPkMatchesPkGen)
     Address adrs = leafAddress();
 
     uint8_t pk[maxN];
-    wotsPkGen(pk, ctx, adrs);
+    pkGen(pk, ctx, adrs);
 
     for (int trial = 0; trial < 5; ++trial) {
         ByteVec msg = rng.bytes(p().n);
@@ -148,7 +170,7 @@ TEST_P(WotsTest, SignThenRecoverPkMatchesPkGen)
         wotsSign(sig.data(), msg.data(), ctx, adrs);
 
         uint8_t recovered[maxN];
-        wotsPkFromSig(recovered, sig.data(), msg.data(), ctx, adrs);
+        pkFromSig(recovered, sig.data(), msg.data(), ctx, adrs);
         EXPECT_TRUE(ctEqual(ByteSpan(recovered, p().n),
                             ByteSpan(pk, p().n)))
             << "trial " << trial;
@@ -162,7 +184,7 @@ TEST_P(WotsTest, WrongMessageYieldsWrongPk)
     Address adrs = leafAddress();
 
     uint8_t pk[maxN];
-    wotsPkGen(pk, ctx, adrs);
+    pkGen(pk, ctx, adrs);
 
     ByteVec msg = rng.bytes(p().n);
     ByteVec sig(p().wotsSigBytes());
@@ -171,7 +193,7 @@ TEST_P(WotsTest, WrongMessageYieldsWrongPk)
     ByteVec tampered = msg;
     tampered[0] ^= 0x01;
     uint8_t recovered[maxN];
-    wotsPkFromSig(recovered, sig.data(), tampered.data(), ctx, adrs);
+    pkFromSig(recovered, sig.data(), tampered.data(), ctx, adrs);
     EXPECT_FALSE(ctEqual(ByteSpan(recovered, p().n), ByteSpan(pk, p().n)));
 }
 
@@ -183,9 +205,36 @@ TEST_P(WotsTest, DifferentKeypairsDifferentPks)
     a2.setKeypair(6);
 
     uint8_t pk1[maxN], pk2[maxN];
-    wotsPkGen(pk1, ctx, a1);
-    wotsPkGen(pk2, ctx, a2);
+    pkGen(pk1, ctx, a1);
+    pkGen(pk2, ctx, a2);
     EXPECT_FALSE(ctEqual(ByteSpan(pk1, p().n), ByteSpan(pk2, p().n)));
+}
+
+TEST_P(WotsTest, SignPkGenAndPkFromSigMatchOracle)
+{
+    Rng rng(27);
+    const ByteVec pk_seed = rng.bytes(p().n);
+    const ByteVec sk_seed = rng.bytes(p().n);
+    Context ctx(p(), pk_seed, sk_seed);
+    const oracle::SpxOracle spx(p(), pk_seed, sk_seed);
+    Address adrs = leafAddress();
+
+    uint8_t pk[maxN];
+    pkGen(pk, ctx, adrs);
+    EXPECT_TRUE(ctEqual(ByteSpan(pk, p().n), spx.wotsPkGen(adrs)));
+
+    // An all-zero message has the longest checksum chains; a random
+    // one the usual ragged mix.
+    for (const ByteVec &msg : {ByteVec(p().n, 0x00), rng.bytes(p().n)}) {
+        ByteVec sig(p().wotsSigBytes());
+        wotsSign(sig.data(), msg.data(), ctx, adrs);
+        EXPECT_EQ(sig, spx.wotsSign(msg, adrs));
+
+        uint8_t recovered[maxN];
+        pkFromSig(recovered, sig.data(), msg.data(), ctx, adrs);
+        EXPECT_TRUE(ctEqual(ByteSpan(recovered, p().n),
+                            spx.wotsPkFromSig(sig, msg, adrs)));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSets, WotsTest,
