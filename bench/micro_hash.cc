@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark micro benches for the hash substrate: native vs
- * PTX-flavoured SHA-256, HMAC and MGF1.
+ * PTX-flavoured SHA-256, HMAC and MGF1, plus the WOTS+ chain entry
+ * against the fused one-block kernel it replaces on full groups.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "hash/mgf1.hh"
 #include "hash/sha256.hh"
 #include "hash/sha256xN.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 
@@ -107,6 +109,92 @@ BM_Sha256x8ScalarLanes(benchmark::State &state)
     runSha256Lanes(state, 8, true, false);
 }
 
+/** The Table I parameter set with hash output size @p n. */
+const sphincs::Params &
+paramsForN(int64_t n)
+{
+    return n == 16   ? sphincs::Params::sphincs128f()
+           : n == 24 ? sphincs::Params::sphincs192f()
+                     : sphincs::Params::sphincs256f();
+}
+
+constexpr unsigned chainLanes = 16;
+
+/**
+ * 16 chains x (w - 1) = 15 F steps through thashChainX: the full
+ * group a WOTS+ leaf batch hands it on AVX-512. Items are
+ * compressions, so the Mcomp/s column compares directly with
+ * BM_Final16SeededSteps.
+ */
+void
+BM_ChainX16(benchmark::State &state)
+{
+    if (!sha256LanesAvx512Active()) {
+        state.SkipWithError("AVX-512 dispatch not active");
+        return;
+    }
+    const sphincs::Params &p = paramsForN(state.range(0));
+    Rng rng(4);
+    const sphincs::Context ctx(p, rng.bytes(p.n), rng.bytes(p.n));
+    const uint32_t steps = p.wotsW - 1;
+    ByteVec vals[chainLanes];
+    uint8_t *vptrs[chainLanes];
+    sphincs::Address adrs[chainLanes];
+    uint32_t start[chainLanes] = {};
+    for (unsigned l = 0; l < chainLanes; ++l) {
+        vals[l] = rng.bytes(p.n);
+        vptrs[l] = vals[l].data();
+        adrs[l].setType(sphincs::AddrType::WotsHash);
+        adrs[l].setKeypair(3);
+        adrs[l].setChain(l);
+    }
+    for (auto _ : state) {
+        sphincs::thashChainX(vptrs, ctx, adrs, start, steps, chainLanes);
+        benchmark::DoNotOptimize(vptrs[0]);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * chainLanes * steps);
+}
+
+/**
+ * The per-step kernel on the same blocks: 15 sha256Final16SeededAvx512
+ * calls on 16 prepared F blocks, with no block building or copy-back
+ * between them.
+ */
+void
+BM_Final16SeededSteps(benchmark::State &state)
+{
+    if (!sha256LanesAvx512Active()) {
+        state.SkipWithError("AVX-512 dispatch not active");
+        return;
+    }
+    const sphincs::Params &p = paramsForN(state.range(0));
+    Rng rng(4);
+    const sphincs::Context ctx(p, rng.bytes(p.n), rng.bytes(p.n));
+    const uint32_t steps = p.wotsW - 1;
+    const size_t data_len = sphincs::Address::compressedSize + p.n;
+    alignas(64) uint8_t blocks[chainLanes][Sha256::blockSize] = {};
+    const uint8_t *bptrs[chainLanes];
+    uint8_t digests[chainLanes][Sha256::digestSize];
+    uint8_t *dptrs[chainLanes];
+    for (unsigned l = 0; l < chainLanes; ++l) {
+        const ByteVec data = rng.bytes(data_len);
+        std::memcpy(blocks[l], data.data(), data_len);
+        blocks[l][data_len] = 0x80;
+        storeBe64(blocks[l] + Sha256::blockSize - 8,
+                  (ctx.seededState().bytesCompressed + data_len) * 8);
+        bptrs[l] = blocks[l];
+        dptrs[l] = digests[l];
+    }
+    for (auto _ : state) {
+        for (uint32_t s = 0; s < steps; ++s)
+            sha256Final16SeededAvx512(ctx.seededState().h, bptrs, dptrs);
+        benchmark::DoNotOptimize(digests);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * chainLanes * steps);
+}
+
 void
 BM_Mgf1(benchmark::State &state)
 {
@@ -126,5 +214,7 @@ BENCHMARK(BM_Sha256Ptx)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x16)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8ScalarLanes)->Arg(64)->Arg(576)->Arg(4096);
+BENCHMARK(BM_ChainX16)->Arg(16)->Arg(24)->Arg(32);
+BENCHMARK(BM_Final16SeededSteps)->Arg(16)->Arg(24)->Arg(32);
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 BENCHMARK(BM_Mgf1)->Arg(34)->Arg(49);

@@ -25,9 +25,12 @@
  *            | point (':' key '=' u64)*
  *   point   := 'hash-compress'   bit-flip one lane's chaining state
  *            | 'simd-lane'       corrupt one SIMD-produced digest in a
- *                                fused one-block hash batch (never
- *                                fires on the scalar tail, so a
- *                                forced-scalar path is immune)
+ *                                fused one-block hash batch, or one
+ *                                lane's output of a WOTS+ chain
+ *                                kernel call (one hit per call, a
+ *                                whole segment); never fires on the
+ *                                scalar tail, so a forced-scalar path
+ *                                is immune
  *            | 'worker-throw'    throw FaultInjected from a worker
  *                                loop, outside the per-job handlers
  *            | 'queue-stall'     sleep a worker before it processes a
@@ -67,7 +70,8 @@ class FaultInjected : public std::runtime_error
 /** The named injection points (grammar names in fault.cc). */
 enum class FaultPoint : unsigned {
     HashCompress,  ///< bit-flip a lane's SHA-256 chaining state
-    SimdLane,      ///< corrupt one SIMD lane digest in thashx
+    SimdLane,      ///< corrupt one SIMD lane of a thashx one-block
+                   ///< batch or chain-kernel segment
     WorkerThrow,   ///< exception escaping a worker loop
     QueueStall,    ///< stall a worker before a processing pass
     CallbackThrow, ///< exception from a completion callback

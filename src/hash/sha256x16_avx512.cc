@@ -25,11 +25,17 @@
  *    lanes resume from ONE shared mid-state (a broadcast, no state
  *    transpose) and absorb exactly one pre-padded block, the shape of
  *    every batched F/PRF call.
+ * A third has no AVX2 counterpart:
+ *  * sha256Chain16SeededAvx512 — sixteen WOTS+ chains advanced a whole
+ *    segment of F steps with their values kept transposed in
+ *    registers; see its definition for what it saves per step.
  */
 
 #ifdef HEROSIGN_HAVE_AVX512
 
 #include <immintrin.h>
+
+#include <cstring>
 
 // GCC implements the AVX-512 cast/extract intrinsics on top of
 // _mm256_undefined_si256(), which GCC 12 flags as used-uninitialized
@@ -185,20 +191,28 @@ loadMessage16(__m512i w[16], const uint8_t *const blocks[16])
     }
 }
 
-/** Expand the schedule and run the 64 rounds; s is updated in place. */
+/** Expand message words w[16..63] from the block words w[0..15]. */
 inline void
-rounds16(__m512i s[8], __m512i w[64])
+expandSchedule(__m512i w[64])
 {
     for (int i = 16; i < 64; ++i) {
         w[i] = _mm512_add_epi32(
             _mm512_add_epi32(w[i - 16], sigma0(w[i - 15])),
             _mm512_add_epi32(w[i - 7], sigma1(w[i - 2])));
     }
+}
 
-    __m512i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m512i e = s[4], f = s[5], g = s[6], h = s[7];
+/**
+ * Run rounds [first, last) on the working variables v = {a..h}, in
+ * place; no feed-forward.
+ */
+inline void
+roundRange(__m512i v[8], const __m512i w[64], int first, int last)
+{
+    __m512i a = v[0], b = v[1], c = v[2], d = v[3];
+    __m512i e = v[4], f = v[5], g = v[6], h = v[7];
 
-    for (int i = 0; i < 64; ++i) {
+    for (int i = first; i < last; ++i) {
         __m512i t1 = _mm512_add_epi32(
             _mm512_add_epi32(
                 _mm512_add_epi32(h, bigSigma1(e)),
@@ -217,14 +231,27 @@ rounds16(__m512i s[8], __m512i w[64])
         a = _mm512_add_epi32(t1, t2);
     }
 
-    s[0] = _mm512_add_epi32(s[0], a);
-    s[1] = _mm512_add_epi32(s[1], b);
-    s[2] = _mm512_add_epi32(s[2], c);
-    s[3] = _mm512_add_epi32(s[3], d);
-    s[4] = _mm512_add_epi32(s[4], e);
-    s[5] = _mm512_add_epi32(s[5], f);
-    s[6] = _mm512_add_epi32(s[6], g);
-    s[7] = _mm512_add_epi32(s[7], h);
+    v[0] = a;
+    v[1] = b;
+    v[2] = c;
+    v[3] = d;
+    v[4] = e;
+    v[5] = f;
+    v[6] = g;
+    v[7] = h;
+}
+
+/** Expand the schedule and run the 64 rounds; s is updated in place. */
+inline void
+rounds16(__m512i s[8], __m512i w[64])
+{
+    expandSchedule(w);
+    __m512i v[8];
+    for (int i = 0; i < 8; ++i)
+        v[i] = s[i];
+    roundRange(v, w, 0, 64);
+    for (int i = 0; i < 8; ++i)
+        s[i] = _mm512_add_epi32(s[i], v[i]);
 }
 
 /**
@@ -247,6 +274,29 @@ loadStates16(__m512i s[8], const std::array<uint32_t, 8> state[16])
     for (int i = 0; i < 8; ++i)
         s[i] = _mm512_inserti64x4(_mm512_castsi256_si512(lo[i]), hi[i],
                                   1);
+}
+
+/**
+ * Word-per-register state -> 32 big-endian digest bytes per lane at
+ * digests[l].
+ */
+inline void
+storeDigests16(uint8_t *const digests[16], const __m512i s[8])
+{
+    __m256i lo[8], hi[8];
+    for (int i = 0; i < 8; ++i) {
+        lo[i] = _mm512_castsi512_si256(s[i]);
+        hi[i] = _mm512_extracti64x4_epi64(s[i], 1);
+    }
+    transpose8x8Half(lo);
+    transpose8x8Half(hi);
+    for (int l = 0; l < 8; ++l) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(digests[l]),
+                            bswap32Half(lo[l]));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(digests[8 + l]),
+            bswap32Half(hi[l]));
+    }
 }
 
 /** Inverse of loadStates16. */
@@ -300,21 +350,109 @@ sha256Final16SeededAvx512(const std::array<uint32_t, 8> &mid,
         s[i] = _mm512_set1_epi32(static_cast<int>(mid[i]));
 
     rounds16(s, w);
+    storeDigests16(digests, s);
+}
 
-    // word-per-register -> lane-per-register, then big-endian bytes.
-    __m256i lo[8], hi[8];
-    for (int i = 0; i < 8; ++i) {
-        lo[i] = _mm512_castsi512_si256(s[i]);
-        hi[i] = _mm512_extracti64x4_epi64(s[i], 1);
+/**
+ * The WOTS+ chain kernel. Per call it loads and transposes the 16
+ * first-step blocks once and runs rounds 0-4 once: block words 0-4
+ * (layer, tree, type, keypair, chain and the hash field's high half)
+ * are the same for every step of a chain, so the state after round 4
+ * is too. Per step it rebuilds only block word 5 onwards in
+ * registers: word 5 is the hash field's low half (bumped by one per
+ * step) above the value's first two bytes, and each later word is
+ * the previous digest funnel-shifted by 16 bits, because the value
+ * starts 2 bytes into word 5. Byte masks put the 0x80 pad after the
+ * n-th value byte and keep the words beyond it zero, so any n fits
+ * one code path. The value leaves the registers once, at the end;
+ * captures are blended in per step under a lane mask.
+ */
+void
+sha256Chain16SeededAvx512(const std::array<uint32_t, 8> &mid,
+                          const uint8_t *const blocks[16], unsigned n,
+                          unsigned steps, uint8_t *const out[16],
+                          const uint32_t cap_step[16],
+                          uint8_t *const cap[16])
+{
+    // Block words 5..13 can hold value bytes (n <= 32): 22 bytes of
+    // compressed address, then n bytes of value, then the pad byte.
+    constexpr int firstWord = 5, numWords = 9;
+    constexpr unsigned valueOffset = 22;
+    const unsigned pad_at = valueOffset + n;
+
+    __m512i w[64];
+    loadMessage16(w, blocks);
+
+    __m512i midv[8], head[8];
+    for (int i = 0; i < 8; ++i)
+        midv[i] = head[i] = _mm512_set1_epi32(static_cast<int>(mid[i]));
+    roundRange(head, w, 0, firstWord);
+
+    // Word 5 + j has r bytes (hash or value) ahead of the pad byte:
+    // r >= 4 keeps the whole word, r <= 0 none of it.
+    __m512i keep[numWords], pad[numWords];
+    for (int j = 0; j < numWords; ++j) {
+        const int r = static_cast<int>(pad_at) - 4 * (firstWord + j);
+        const uint32_t m = r >= 4   ? ~0u
+                           : r <= 0 ? 0u
+                                    : ~0u << (32 - 8 * r);
+        const uint32_t p = r >= 0 && r < 4 ? 0x80u << (24 - 8 * r) : 0u;
+        keep[j] = _mm512_set1_epi32(static_cast<int>(m));
+        pad[j] = _mm512_set1_epi32(static_cast<int>(p));
     }
-    transpose8x8Half(lo);
-    transpose8x8Half(hi);
-    for (int l = 0; l < 8; ++l) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(digests[l]),
-                            bswap32Half(lo[l]));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(digests[8 + l]),
-            bswap32Half(hi[l]));
+
+    __m512i hash = _mm512_srli_epi32(w[firstWord], 16);
+    const __m512i capv =
+        cap_step ? _mm512_loadu_si512(cap_step) : _mm512_setzero_si512();
+    __m512i d[8], captured[8];
+    for (int i = 0; i < 8; ++i)
+        captured[i] = _mm512_setzero_si512();
+
+    for (unsigned step = 1;; ++step) {
+        expandSchedule(w);
+        __m512i v[8];
+        for (int i = 0; i < 8; ++i)
+            v[i] = head[i];
+        roundRange(v, w, firstWord, 64);
+        for (int i = 0; i < 8; ++i)
+            d[i] = _mm512_add_epi32(midv[i], v[i]);
+
+        if (cap_step) {
+            const __mmask16 hit = _mm512_cmpeq_epi32_mask(
+                capv, _mm512_set1_epi32(static_cast<int>(step)));
+            for (int i = 0; i < 8; ++i)
+                captured[i] = _mm512_mask_mov_epi32(captured[i], hit, d[i]);
+        }
+        if (step == steps)
+            break;
+
+        // Next block: (hash low half << 16 | d0 >> 16), then
+        // (d[j-1] << 16 | d[j] >> 16), each masked to the value bytes
+        // with the pad byte ORed in. (A | B) & C is truth table 0xA8.
+        hash = _mm512_add_epi32(hash, _mm512_set1_epi32(1));
+        for (int j = 0; j < numWords; ++j) {
+            const __m512i hi = j == 0 ? hash : d[j - 1];
+            const __m512i lo = j < 8 ? d[j] : _mm512_setzero_si512();
+            w[firstWord + j] = _mm512_or_si512(
+                _mm512_ternarylogic_epi32(_mm512_slli_epi32(hi, 16),
+                                          _mm512_srli_epi32(lo, 16),
+                                          keep[j], 0xA8),
+                pad[j]);
+        }
+    }
+
+    alignas(64) uint8_t buf[16][32];
+    uint8_t *bptrs[16];
+    for (int l = 0; l < 16; ++l)
+        bptrs[l] = buf[l];
+    storeDigests16(bptrs, d);
+    for (int l = 0; l < 16; ++l)
+        std::memcpy(out[l], buf[l], n);
+    if (cap_step) {
+        storeDigests16(bptrs, captured);
+        for (int l = 0; l < 16; ++l)
+            if (cap_step[l] != 0)
+                std::memcpy(cap[l], buf[l], n);
     }
 }
 

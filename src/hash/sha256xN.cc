@@ -398,6 +398,16 @@ sha256Final16SeededAvx512(const std::array<uint32_t, 8> &,
     throw std::logic_error(
         "sha256Final16SeededAvx512: AVX-512 backend not compiled in");
 }
+
+void
+sha256Chain16SeededAvx512(const std::array<uint32_t, 8> &,
+                          const uint8_t *const[16], unsigned, unsigned,
+                          uint8_t *const[16], const uint32_t[16],
+                          uint8_t *const[16])
+{
+    throw std::logic_error(
+        "sha256Chain16SeededAvx512: AVX-512 backend not compiled in");
+}
 #endif
 
 } // namespace herosign

@@ -260,6 +260,31 @@ void sha256Final16SeededAvx512(const std::array<uint32_t, 8> &mid,
                                const uint8_t *const blocks[16],
                                uint8_t *const digests[16]);
 
+/**
+ * Fused 16-lane WOTS+ chain kernel: lane l runs @p steps chained F
+ * calls on top of the shared mid-state, each hashing the previous
+ * call's first n digest bytes. blocks[l] is lane l's first padded F
+ * block: the 22-byte compressed address, whose last 4 bytes are the
+ * chain position (below 2^16), then the n-byte value, then one-block
+ * padding. Every later step hashes the same block with the position
+ * one higher and the previous value.
+ *
+ * @param n value bytes, 1..32
+ * @param steps F calls per lane, >= 1
+ * @param out lane l's n-byte value after @p steps calls
+ * @param cap_step null for no capture; otherwise cap_step[l] in
+ *        1..steps copies lane l's value after that many calls to
+ *        cap[l] (n bytes), and 0 captures nothing for that lane
+ *
+ * out[l] may alias the value inside blocks[l].
+ */
+void sha256Chain16SeededAvx512(const std::array<uint32_t, 8> &mid,
+                               const uint8_t *const blocks[16],
+                               unsigned n, unsigned steps,
+                               uint8_t *const out[16],
+                               const uint32_t cap_step[16],
+                               uint8_t *const cap[16]);
+
 } // namespace herosign
 
 #endif // HEROSIGN_HASH_SHA256XN_HH

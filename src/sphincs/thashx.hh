@@ -15,6 +15,10 @@
  * count on any backend. Callers that choose their own batch size
  * should fill hashLaneWidth() lanes per pass — the width the
  * dispatched backend actually executes.
+ *
+ * WOTS+ chains have their own entry, thashChainX: a whole segment of
+ * F steps per call, so a full 16-lane group on AVX-512 keeps its
+ * values in registers from the first step to the last.
  */
 
 #ifndef HEROSIGN_SPHINCS_THASHX_HH
@@ -68,6 +72,37 @@ thashFX(uint8_t *const out[], const Context &ctx, const Address adrs[],
 {
     thashX(out, ctx, adrs, in, ctx.params().n, count);
 }
+
+/**
+ * Batched WOTS+ chain segment: lane l applies F @p steps times to its
+ * n-byte value vals[l] (in place), at chain positions start[l],
+ * start[l] + 1, ... — the spec's chain(X, start, steps). This entry
+ * owns the tier choice for chains: a full 16-lane group on native
+ * AVX-512 runs the register-resident chain kernel
+ * (sha256Chain16SeededAvx512); every other case (AVX2, portable,
+ * forced-scalar or quarantined lanes, the Ptx variant, fewer than 16
+ * lanes) runs the segment as one fused one-block F call per step.
+ * Both give the same bytes and charge count * steps compressions.
+ * The simd-lane fault seam fires once per kernel call.
+ *
+ * @param vals count pointers to n-byte chain values
+ * @param adrs count WOTS_HASH addresses with layer, tree, keypair
+ *        and chain set; their hash field is ignored
+ * @param start count chain positions, start[l] + steps <= w - 1
+ * @param steps F calls per lane (0 does nothing)
+ * @param count active lanes, 1..maxHashLanes
+ * @param cap_out optional: where cap_out[l] is set, lane l's value is
+ *        copied there when its position reaches cap_pos[l], if that
+ *        lies in (start[l], start[l] + steps]
+ * @param cap_pos capture positions, read only where cap_out[l] is set
+ * @throws std::invalid_argument for a count outside 1..16 or a chain
+ *         that would run past position w - 1
+ */
+void thashChainX(uint8_t *const vals[], const Context &ctx,
+                 const Address adrs[], const uint32_t start[],
+                 uint32_t steps, unsigned count,
+                 uint8_t *const cap_out[] = nullptr,
+                 const uint32_t cap_pos[] = nullptr);
 
 /** Batched PRF: out[l] = PRF(pk_seed, sk_seed, adrs[l]). */
 void prfAddrX(uint8_t *const out[], const Context &ctx,

@@ -38,15 +38,16 @@ baseW(uint32_t *out, size_t out_len, const uint8_t *in, unsigned lg_w)
 constexpr unsigned maxBatchChains = maxHashLanes * maxWotsLen;
 
 /**
- * Advance @p num independent WOTS+ chains in lockstep lanes of the
+ * Advance @p num independent WOTS+ chains in lane groups of the
  * dispatched width W (hashLaneWidth(): 16 on AVX-512, 8 elsewhere).
  * Chain c steps its value vals[c] (n bytes, in place) from position
  * pos[c] to end[c]; adrs[c] must have layer/tree/type/keypair/chain
- * set (the hash position is managed here). Lanes retire as chains
- * reach their end and are refilled from the pending chains, so lanes
- * stay full while at least W chains remain; the ragged tail falls
- * back to narrower kernels and scalar calls, keeping digests and
- * compression counts identical to the scalar path.
+ * set (thashChainX sets the hash position). Each group of up to W
+ * chains advances one segment — the fewest steps any of them has
+ * left — in one thashChainX call; then finished chains retire and
+ * pending ones refill their lanes, so lanes stay full while at least
+ * W chains remain. Digests and compression counts are those of the
+ * scalar path.
  *
  * When @p cap_out is non-null, chain c with cap_out[c] set copies its
  * value to cap_out[c] the moment its position reaches cap_pos[c]
@@ -55,7 +56,7 @@ constexpr unsigned maxBatchChains = maxHashLanes * maxWotsLen;
  * leaf's wotsSign() bytes fall out of its pk-generation walk.
  */
 void
-advanceChains(uint8_t *const vals[], Address adrs[], uint32_t pos[],
+advanceChains(uint8_t *const vals[], const Address adrs[], uint32_t pos[],
               const uint32_t end[], unsigned num, const Context &ctx,
               uint8_t *const cap_out[] = nullptr,
               const uint32_t cap_pos[] = nullptr)
@@ -71,28 +72,32 @@ advanceChains(uint8_t *const vals[], Address adrs[], uint32_t pos[],
     }
 
     const unsigned width = hashLaneWidth();
+    uint8_t *lane_vals[maxHashLanes];
     Address lane_adrs[maxHashLanes];
-    uint8_t *outs[maxHashLanes];
-    const uint8_t *ins[maxHashLanes];
+    uint32_t lane_pos[maxHashLanes];
+    uint8_t *lane_cap[maxHashLanes];
+    uint32_t lane_cap_pos[maxHashLanes];
     while (nactive > 0) {
         const unsigned m = std::min(nactive, width);
+        uint32_t steps = end[active[0]] - pos[active[0]];
         for (unsigned j = 0; j < m; ++j) {
             const unsigned c = active[j];
-            adrs[c].setHash(pos[c]);
+            steps = std::min(steps, end[c] - pos[c]);
+            lane_vals[j] = vals[c];
             lane_adrs[j] = adrs[c];
-            outs[j] = vals[c];
-            ins[j] = vals[c];
+            lane_pos[j] = pos[c];
+            lane_cap[j] = cap_out ? cap_out[c] : nullptr;
+            lane_cap_pos[j] = cap_out ? cap_pos[c] : 0;
         }
-        thashFX(outs, ctx, lane_adrs, ins, m);
+        thashChainX(lane_vals, ctx, lane_adrs, lane_pos, steps, m,
+                    cap_out ? lane_cap : nullptr, lane_cap_pos);
 
         // Retire finished lanes, compacting survivors to the front so
-        // pending chains slot in next round.
+        // pending chains slot in next segment.
         unsigned w = 0;
         for (unsigned j = 0; j < m; ++j) {
             const unsigned c = active[j];
-            ++pos[c];
-            if (cap_out && cap_out[c] && pos[c] == cap_pos[c])
-                std::memcpy(cap_out[c], vals[c], n);
+            pos[c] += steps;
             if (pos[c] < end[c])
                 active[w++] = c;
         }
@@ -219,8 +224,9 @@ wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
         }
         deriveChainSks(vals, adrs, total, ctx);
 
-        // All m * len chains advance the full w-1 steps in lockstep;
-        // capture chains copy out their signature value in passing.
+        // All m * len chains advance the full w-1 steps, one segment
+        // per lane group; capture chains copy out their signature
+        // value in passing.
         for (unsigned j = 0; j < m; ++j) {
             const WotsLeafReq &r = reqs[base + j];
             Address hash_base;
@@ -283,7 +289,8 @@ wotsSign(uint8_t *sig, const uint8_t *msg, const Context &ctx,
     }
     deriveChainSks(vals, adrs, len, ctx);
 
-    // Ragged chain lengths: lanes retire early and refill.
+    // Ragged chain lengths: segments end as chains finish, and lanes
+    // refill.
     Address hash_base = leaf_adrs;
     hash_base.setType(AddrType::WotsHash);
     hash_base.setKeypair(leaf_adrs.keypair());

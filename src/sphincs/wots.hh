@@ -93,10 +93,11 @@ void wotsSign(uint8_t *sig, const uint8_t *msg, const Context &ctx,
 
 /**
  * Recompute up to maxHashLanes compressed public keys from signatures
- * in one lockstep pass — the hot loop of batched verification. All
- * count * len ragged chains advance together in lanes of the
- * dispatched width (lanes retire early and refill), and the final
- * T_len compressions run one per lane. The signatures may sit in
+ * in one pass — the hot loop of batched verification. All count * len
+ * ragged chains advance together in lane groups of the dispatched
+ * width, one segment per group up to the next chain to finish (lanes
+ * retire and refill between segments), and the final T_len
+ * compressions run one per lane. The signatures may sit in
  * different hypertree positions (each lane has its own address) but
  * must share one context / parameter set. The bytes are the same at
  * every width and lane count; verification runs a lone signature

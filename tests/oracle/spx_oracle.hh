@@ -75,6 +75,14 @@ class SpxOracle
     // by value and set up by the callee exactly as the spec's caller
     // would leave it.
 
+    /**
+     * chain (Alg. 2): F applied @p s times to @p x from position @p i.
+     * @p adrs is WOTS_HASH-typed with layer, tree, keypair and chain
+     * set; its hash field is left at the last position hashed.
+     */
+    ByteVec chain(ByteVec x, uint32_t i, uint32_t s,
+                  sphincs::Address &adrs) const;
+
     /** wots_PKgen (Alg. 4); @p adrs has layer, tree and keypair. */
     ByteVec wotsPkGen(sphincs::Address adrs) const;
 
@@ -119,8 +127,6 @@ class SpxOracle
 
     ByteVec thash(const sphincs::Address &adrs, ByteSpan m) const;
     ByteVec prf(const sphincs::Address &adrs) const;
-    ByteVec chain(ByteVec x, uint32_t i, uint32_t s,
-                  sphincs::Address &adrs) const;
     void chainLengths(uint32_t *msg, ByteSpan m) const;
     ByteVec forsSkGen(sphincs::Address adrs, uint32_t idx) const;
     ByteVec forsTreehash(uint32_t s, unsigned z,
