@@ -128,21 +128,18 @@ SignEngine::makeProfilingJob() const
 }
 
 std::unique_ptr<gpu::KernelBody>
-SignEngine::makeKernel(KernelKind kind, MessageJob &job,
-                       Sha256Variant variant) const
+SignEngine::makeKernel(KernelKind kind, MessageJob &job) const
 {
     MemPolicy mem{config_.hybridMem};
     switch (kind) {
       case KernelKind::ForsSign:
-        return std::make_unique<ForsSignKernel>(job, forsGeo_, mem,
-                                                variant);
+        return std::make_unique<ForsSignKernel>(job, forsGeo_, mem);
       case KernelKind::TreeSign:
         return std::make_unique<TreeSignKernel>(job, config_.freeBank,
-                                                mem, variant);
+                                                mem);
       case KernelKind::WotsSign:
         return std::make_unique<WotsSignKernel>(
-            job, config_.wotsFullChains, config_.chainShiftMath, mem,
-            variant);
+            job, config_.wotsFullChains, config_.chainShiftMath, mem);
     }
     throw std::logic_error("makeKernel: bad kind");
 }
@@ -156,7 +153,7 @@ SignEngine::profileKernel(KernelKind kind, Sha256Variant variant,
     choice.variant = variant;
     choice.nominalRegs = nominalRegs(kind, params_, variant);
 
-    auto body = makeKernel(kind, job, variant);
+    auto body = makeKernel(kind, job);
     gpu::LaunchSpec spec;
     spec.blockDim = [&] {
         switch (kind) {
@@ -304,8 +301,7 @@ SignEngine::sign(ByteSpan msg, const SecretKey &sk,
 
     // FORS_Sign.
     {
-        auto body =
-            makeKernel(KernelKind::ForsSign, job, kernels_[0].variant);
+        auto body = makeKernel(KernelKind::ForsSign, job);
         gpu::LaunchSpec spec;
         spec.blockDim = kernels_[0].threads;
         spec.sharedBytes = kernels_[0].smemBytes;
@@ -319,8 +315,7 @@ SignEngine::sign(ByteSpan msg, const SecretKey &sk,
 
     // TREE_Sign (independent of FORS).
     {
-        auto body =
-            makeKernel(KernelKind::TreeSign, job, kernels_[1].variant);
+        auto body = makeKernel(KernelKind::TreeSign, job);
         gpu::LaunchSpec spec;
         spec.blockDim = kernels_[1].threads;
         spec.sharedBytes = kernels_[1].smemBytes;
@@ -342,8 +337,7 @@ SignEngine::sign(ByteSpan msg, const SecretKey &sk,
                     params_.n);
     }
     {
-        auto body =
-            makeKernel(KernelKind::WotsSign, job, kernels_[2].variant);
+        auto body = makeKernel(KernelKind::WotsSign, job);
         gpu::LaunchSpec spec;
         spec.blockDim = kernels_[2].threads;
         spec.gridDim = 1;

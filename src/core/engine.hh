@@ -124,9 +124,8 @@ class SignEngine
     void resolveKernels();
     KernelChoice profileKernel(KernelKind kind, Sha256Variant variant,
                                MessageJob &job) const;
-    std::unique_ptr<gpu::KernelBody>
-    makeKernel(KernelKind kind, MessageJob &job,
-               Sha256Variant variant) const;
+    std::unique_ptr<gpu::KernelBody> makeKernel(KernelKind kind,
+                                                MessageJob &job) const;
     MessageJob makeProfilingJob() const;
     void prepareJob(MessageJob &job, const sphincs::Context &ctx,
                     ByteSpan msg, const sphincs::SecretKey &sk,

@@ -109,7 +109,7 @@ class ForsSignKernel : public gpu::KernelBody
 {
   public:
     ForsSignKernel(MessageJob &job, const ForsGeometry &geo,
-                   const MemPolicy &mem, Sha256Variant variant);
+                   const MemPolicy &mem);
 
     std::string name() const override { return "FORS_Sign"; }
     unsigned numPhases(unsigned block_idx) const override;
@@ -138,7 +138,6 @@ class ForsSignKernel : public gpu::KernelBody
     MessageJob &job_;
     ForsGeometry geo_;
     MemPolicy mem_;
-    Sha256Variant variant_;
     std::unique_ptr<gpu::ReductionLayout> layout_;
     unsigned storedLevels_;  ///< reduction phases per round
     uint32_t rootsBase_;     ///< shared offset of the roots region
@@ -152,8 +151,7 @@ class ForsSignKernel : public gpu::KernelBody
 class TreeSignKernel : public gpu::KernelBody
 {
   public:
-    TreeSignKernel(MessageJob &job, bool padded, const MemPolicy &mem,
-                   Sha256Variant variant);
+    TreeSignKernel(MessageJob &job, bool padded, const MemPolicy &mem);
 
     std::string name() const override { return "TREE_Sign"; }
     unsigned numPhases(unsigned block_idx) const override;
@@ -166,7 +164,6 @@ class TreeSignKernel : public gpu::KernelBody
   private:
     MessageJob &job_;
     MemPolicy mem_;
-    Sha256Variant variant_;
     std::unique_ptr<gpu::ReductionLayout> layout_;
 };
 
@@ -179,7 +176,7 @@ class WotsSignKernel : public gpu::KernelBody
 {
   public:
     WotsSignKernel(MessageJob &job, bool full_chains, bool shift_math,
-                   const MemPolicy &mem, Sha256Variant variant);
+                   const MemPolicy &mem);
 
     std::string name() const override { return "WOTS+_Sign"; }
     unsigned numPhases(unsigned) const override { return 1; }
@@ -194,7 +191,6 @@ class WotsSignKernel : public gpu::KernelBody
     bool fullChains_;
     bool shiftMath_;
     MemPolicy mem_;
-    Sha256Variant variant_;
 };
 
 } // namespace herosign::core

@@ -46,9 +46,8 @@ charged(gpu::BlockContext &blk, unsigned tid, Fn &&fn)
 } // namespace
 
 ForsSignKernel::ForsSignKernel(MessageJob &job, const ForsGeometry &geo,
-                               const MemPolicy &mem,
-                               Sha256Variant variant)
-    : job_(job), geo_(geo), mem_(mem), variant_(variant)
+                               const MemPolicy &mem)
+    : job_(job), geo_(geo), mem_(mem)
 {
     const sphincs::Params &p = job_.ctx->params();
     const uint32_t t = p.forsLeaves();

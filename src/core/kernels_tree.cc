@@ -27,9 +27,8 @@ charged(gpu::BlockContext &blk, unsigned tid, Fn &&fn)
 } // namespace
 
 TreeSignKernel::TreeSignKernel(MessageJob &job, bool padded,
-                               const MemPolicy &mem,
-                               Sha256Variant variant)
-    : job_(job), mem_(mem), variant_(variant)
+                               const MemPolicy &mem)
+    : job_(job), mem_(mem)
 {
     const sphincs::Params &p = job_.ctx->params();
     if (padded) {

@@ -27,10 +27,9 @@ charged(gpu::BlockContext &blk, unsigned tid, Fn &&fn)
 } // namespace
 
 WotsSignKernel::WotsSignKernel(MessageJob &job, bool full_chains,
-                               bool shift_math, const MemPolicy &mem,
-                               Sha256Variant variant)
+                               bool shift_math, const MemPolicy &mem)
     : job_(job), fullChains_(full_chains), shiftMath_(shift_math),
-      mem_(mem), variant_(variant)
+      mem_(mem)
 {
 }
 

@@ -68,14 +68,10 @@ sha256CompressNative(std::array<uint32_t, 8> &state, const uint8_t *block)
     state[7] += h;
 }
 
-Sha256::Sha256(Sha256Variant variant)
-    : h_(initState), bufLen_(0), total_(0), variant_(variant)
-{
-}
+Sha256::Sha256() : h_(initState), bufLen_(0), total_(0) {}
 
-Sha256::Sha256(const Sha256State &state, Sha256Variant variant)
-    : h_(state.h), bufLen_(0), total_(state.bytesCompressed),
-      variant_(variant)
+Sha256::Sha256(const Sha256State &state)
+    : h_(state.h), bufLen_(0), total_(state.bytesCompressed)
 {
     if (state.bytesCompressed % blockSize != 0)
         throw std::logic_error("Sha256: mid-state not block aligned");
@@ -136,9 +132,9 @@ Sha256::final(uint8_t *out)
 }
 
 std::array<uint8_t, Sha256::digestSize>
-Sha256::digest(ByteSpan data, Sha256Variant variant)
+Sha256::digest(ByteSpan data)
 {
-    Sha256 ctx(variant);
+    Sha256 ctx;
     ctx.update(data);
     std::array<uint8_t, digestSize> out;
     ctx.final(out.data());
@@ -149,10 +145,7 @@ void
 Sha256::compress(const uint8_t *block)
 {
     ++compression_count;
-    if (variant_ == Sha256Variant::Native)
-        sha256CompressNative(h_, block);
-    else
-        sha256CompressPtx(h_, block);
+    sha256CompressNative(h_, block);
 }
 
 uint64_t

@@ -2,26 +2,25 @@
  * @file
  * SHA-256 (FIPS 180-4) with an incremental API and mid-state capture.
  *
- * Two compression-function implementations are provided:
+ * Sha256 runs the conventional shift/rotate compression
+ * (sha256CompressNative), the one every real signing and verification
+ * path uses. Mid-state capture (state after compressing whole blocks)
+ * enables the SPHINCS+ optimization of precomputing the state of the
+ * 64-byte pk_seed padding block once per keypair.
  *
- *  * Variant::Native — the conventional shift/rotate implementation a
- *    CUDA kernel would compile from plain C.
- *  * Variant::Ptx    — a byte-permute (prmt) + multiply-add (mad)
- *    flavoured implementation mirroring HERO-Sign's hand-written PTX
- *    branch (paper §III-C, Fig. 5). It computes identical digests but
- *    exercises a different instruction mix, which the GPU cost model
- *    prices differently (fewer registers, different ALU profile).
- *
- * Mid-state capture (state after compressing whole blocks) enables the
- * SPHINCS+ optimization of precomputing the state of the 64-byte
- * pk_seed padding block once per keypair.
+ * sha256CompressPtx is HERO-Sign's hand-written PTX branch (paper
+ * §III-C, Fig. 5) emulated on the CPU: byte-permute (prmt) loads and
+ * multiply-add (mad) round sums. It gives identical digests with a
+ * different instruction mix. Only the GPU simulator's cost model
+ * prices that choice (Sha256Variant in core/config.hh, Table V); the
+ * hash KATs keep the emulation's bytes honest.
  *
  * For hot loops hashing many independent inputs of one shape, see the
  * lane-batched sibling in hash/sha256xN.hh: a width-generic lane
  * engine (16-lane AVX-512 and 8-lane AVX2 backends with a
  * bit-identical portable fallback) that resumes all lanes from the
  * same Sha256State and keeps compressionCount() consistent with the
- * same number of scalar calls.
+ * same number of scalar calls. laneDispatch() alone picks its kernels.
  */
 
 #ifndef HEROSIGN_HASH_SHA256_HH
@@ -35,7 +34,10 @@
 namespace herosign
 {
 
-/** Which SHA-256 compression implementation to use. */
+/**
+ * The two SHA-256 flavours of the paper's GPU kernels, as the
+ * simulator prices them. The real signer always runs Native.
+ */
 enum class Sha256Variant { Native, Ptx };
 
 /** Captured SHA-256 chaining state after a whole number of blocks. */
@@ -52,11 +54,10 @@ class Sha256
     static constexpr size_t digestSize = 32;
     static constexpr size_t blockSize = 64;
 
-    explicit Sha256(Sha256Variant variant = Sha256Variant::Native);
+    Sha256();
 
     /** Resume from a previously captured mid-state. */
-    explicit Sha256(const Sha256State &state,
-                    Sha256Variant variant = Sha256Variant::Native);
+    explicit Sha256(const Sha256State &state);
 
     /** Absorb @p data. */
     void update(ByteSpan data);
@@ -72,8 +73,7 @@ class Sha256
     void final(uint8_t *out);
 
     /** One-shot convenience. */
-    static std::array<uint8_t, digestSize>
-    digest(ByteSpan data, Sha256Variant variant = Sha256Variant::Native);
+    static std::array<uint8_t, digestSize> digest(ByteSpan data);
 
     /**
      * Global (thread-local) count of compression-function invocations;
@@ -97,12 +97,13 @@ class Sha256
     uint8_t buf_[blockSize];
     size_t bufLen_;
     uint64_t total_;
-    Sha256Variant variant_;
 };
 
 /**
- * Compression-function entry points (exposed for the PTX unit tests;
- * normal users go through Sha256).
+ * Compression-function entry points. Sha256 and the lane engine's
+ * scalar lanes run sha256CompressNative; sha256CompressPtx is the
+ * PTX-branch emulation, called only by its KAT parity tests and
+ * micro_hash.
  */
 void sha256CompressNative(std::array<uint32_t, 8> &state,
                           const uint8_t *block);

@@ -227,30 +227,21 @@ ScopedScalarLanes::activeOnThisThread()
     return tl_force_scalar;
 }
 
-Sha256Lanes::Sha256Lanes(unsigned width, Sha256Variant variant)
-    : bufLen_(0), total_(0), width_(width), variant_(variant)
+Sha256Lanes::Sha256Lanes(unsigned width)
+    : Sha256Lanes(width, Sha256State{initState, 0})
 {
-    if (width_ == 0 || width_ > maxLanes)
-        throw std::invalid_argument("Sha256Lanes: width must be 1..16");
-    const LaneDispatch d = laneDispatch();
-    avx2_ = variant == Sha256Variant::Native && d.avx2;
-    avx512_ = variant == Sha256Variant::Native && d.avx512;
-    for (size_t l = 0; l < width_; ++l)
-        h_[l] = initState;
 }
 
-Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state,
-                         Sha256Variant variant)
-    : bufLen_(0), total_(state.bytesCompressed), width_(width),
-      variant_(variant)
+Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state)
+    : bufLen_(0), total_(state.bytesCompressed), width_(width)
 {
     if (width_ == 0 || width_ > maxLanes)
         throw std::invalid_argument("Sha256Lanes: width must be 1..16");
     if (state.bytesCompressed % blockSize != 0)
         throw std::logic_error("Sha256Lanes: mid-state not block aligned");
     const LaneDispatch d = laneDispatch();
-    avx2_ = variant == Sha256Variant::Native && d.avx2;
-    avx512_ = variant == Sha256Variant::Native && d.avx512;
+    avx2_ = d.avx2;
+    avx512_ = d.avx512;
     for (size_t l = 0; l < width_; ++l)
         h_[l] = state.h;
 }
@@ -270,12 +261,8 @@ Sha256Lanes::compressAll(const uint8_t *const blocks[])
         sha256Compress8Avx2(h_ + l, blocks + l);
         l += 8;
     }
-    for (; l < width_; ++l) {
-        if (variant_ == Sha256Variant::Native)
-            sha256CompressNative(h_[l], blocks[l]);
-        else
-            sha256CompressPtx(h_[l], blocks[l]);
-    }
+    for (; l < width_; ++l)
+        sha256CompressNative(h_[l], blocks[l]);
     // One W-wide step does the work of W scalar compressions; keep
     // the global accounting (tests, cost-model calibration) in sync.
     Sha256::addCompressions(width_);

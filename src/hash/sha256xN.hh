@@ -184,16 +184,14 @@ class Sha256Lanes
     static constexpr size_t digestSize = Sha256::digestSize;
     static constexpr size_t blockSize = Sha256::blockSize;
 
-    explicit Sha256Lanes(unsigned width,
-                         Sha256Variant variant = Sha256Variant::Native);
+    explicit Sha256Lanes(unsigned width);
 
     /**
      * Resume all lanes from one captured mid-state — the SPHINCS+
      * per-keypair "pk_seed || padding" state shared by every
      * tweakable-hash call under one key.
      */
-    Sha256Lanes(unsigned width, const Sha256State &state,
-                Sha256Variant variant = Sha256Variant::Native);
+    Sha256Lanes(unsigned width, const Sha256State &state);
 
     unsigned width() const { return width_; }
 
@@ -215,7 +213,6 @@ class Sha256Lanes
     size_t bufLen_;
     uint64_t total_;
     unsigned width_;
-    Sha256Variant variant_;
     bool avx2_;
     bool avx512_;
 };

@@ -74,6 +74,10 @@ class ServiceOverload : public std::runtime_error
  *  - 64 cached contexts: covers the tenants of every workload (the
  *    benches and perfbench drive at most 8), so the steady state never
  *    rebuilds a context.
+ *  - SHA-256 variant Native, the only one accepted: Ptx is the GPU
+ *    code path only the simulator prices. Honoured on the CPU, it
+ *    signed the same bytes with SIMD off, a lone 128f signature in
+ *    49-57 ms instead of 3.9-4.0 ms (medians of 20), so it throws.
  *
  * A simulated-annealing search over the pool, window and cache knobs
  * did not beat them. Its profiles were timed against these defaults
@@ -114,6 +118,7 @@ struct ServiceConfig
     /// corrupt signature ever escapes the service (a faulty SPHINCS+
     /// signature can leak WOTS one-time key material).
     bool verifyAfterSign = false;
+    /// SHA-256 flavour: Native only (see above); Ptx throws.
     Sha256Variant variant = Sha256Variant::Native;
     /// Telemetry-plane knobs (stage histograms, trace sampling).
     /// Applied to the service's private StatsRegistry; when a shared

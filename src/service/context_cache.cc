@@ -32,7 +32,7 @@ ContextCache::acquire(const std::shared_ptr<const KeyRecord> &key)
     // Build outside the lock: the seed-block hash is the expensive
     // part, and two racing builders for one key are harmless (both
     // results are identical; the second insert wins the map slot).
-    auto warm = std::make_shared<const WarmContext>(key, variant_);
+    auto warm = std::make_shared<const WarmContext>(key);
 
     std::lock_guard<std::mutex> lk(m_);
     auto it = map_.find(key->id);

@@ -14,6 +14,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -43,15 +44,27 @@ struct alignas(128) WarmContext
     sphincs::SphincsPlus scheme;
     sphincs::Context ctx;
 
-    WarmContext(std::shared_ptr<const KeyRecord> k,
-                Sha256Variant variant)
-        : key(std::move(k)), scheme(key->params, variant),
+    explicit WarmContext(std::shared_ptr<const KeyRecord> k)
+        : key(std::move(k)), scheme(key->params),
           ctx(key->params, key->pk.pkSeed,
-              key->canSign() ? ByteSpan(key->sk.skSeed) : ByteSpan{},
-              variant)
+              key->canSign() ? ByteSpan(key->sk.skSeed) : ByteSpan{})
     {
     }
 };
+
+/**
+ * Refuse every SHA-256 variant but Native: Ptx exists for the GPU
+ * simulator's cost model only (see ServiceConfig). The services call
+ * this on their config before any worker starts.
+ * @throws std::invalid_argument for Sha256Variant::Ptx
+ */
+inline void
+requireNativeVariant(Sha256Variant variant)
+{
+    if (variant != Sha256Variant::Native)
+        throw std::invalid_argument(
+            "only Sha256Variant::Native signs; Ptx is simulator-only");
+}
 
 /**
  * Thread-safe LRU cache keyed by tenant id. acquire() returns the
@@ -61,10 +74,12 @@ struct alignas(128) WarmContext
 class ContextCache
 {
   public:
+    /** @throws std::invalid_argument unless @p variant is Native. */
     explicit ContextCache(size_t capacity,
                           Sha256Variant variant = Sha256Variant::Native)
-        : cap_(capacity == 0 ? 1 : capacity), variant_(variant)
+        : cap_(capacity == 0 ? 1 : capacity)
     {
+        requireNativeVariant(variant);
     }
 
     /** Get (or build) the warm context for @p key and mark it used. */
@@ -88,7 +103,6 @@ class ContextCache
 
     mutable std::mutex m_;
     const size_t cap_;
-    const Sha256Variant variant_;
     std::list<std::string> lru_; ///< most recently used at the front
     std::unordered_map<std::string, Entry> map_;
     uint64_t hits_ = 0;

@@ -20,6 +20,7 @@ namespace
 PlaneShape
 signShape(const ServiceConfig &config)
 {
+    requireNativeVariant(config.variant); // before the plane starts
     PlaneShape shape;
     shape.workers = config.workers;
     shape.window = config.signCoalesce == 0

@@ -6,10 +6,10 @@
  * first touch (one Context construction) and the hot path signs with
  * shared immutable state only. Workers coalesce queued jobs per pass
  * and sign each same-context (same-tenant) run as one cross-signature
- * lane group via batch::LaneScheduler, so SIMD hash lanes fill across
- * signatures even under interleaved multi-tenant traffic. A lone
- * request signs as a group of one. Admission control is a bounded
- * pending-job cap surfaced through the unified ServiceStats.
+ * lane group through sphincs::SignTask::runGroup, so SIMD hash lanes
+ * fill across signatures even under interleaved multi-tenant traffic.
+ * A lone request signs as a group of one. Admission control is a
+ * bounded pending-job cap surfaced through the unified ServiceStats.
  *
  * A single-key signer is a SignService over a one-key KeyStore; the
  * store zeroizes the secret seeds when the last reference drops.
@@ -57,6 +57,7 @@ class SignService
      * @param admission  optional shared admission controller (pass a
      *                VerifyService's for one fabric-wide budget);
      *                nullptr builds a private one from the config
+     * @throws std::invalid_argument for config.variant Ptx
      */
     explicit SignService(
         KeyStore &store, const ServiceConfig &config = {},
@@ -143,7 +144,7 @@ class SignService
 
     friend class WorkPlane<Job, SignService>;
 
-    /** Sign one same-context group through the LaneScheduler. */
+    /** Sign one same-context group with SignTask::runGroup. */
     void process(std::span<Job *const> group);
     void finishJob(Job &job, ByteVec sig);
     ByteVec guardSignature(ByteVec sig, Job &job);

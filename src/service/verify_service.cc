@@ -16,6 +16,7 @@ constexpr unsigned kCoalesceLaneFactor = 4;
 PlaneShape
 verifyShape(const ServiceConfig &config)
 {
+    requireNativeVariant(config.variant); // before the plane starts
     PlaneShape shape;
     shape.workers = config.verifyWorkers;
     shape.window = kCoalesceLaneFactor * sphincs::hashLaneWidth();

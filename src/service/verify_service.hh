@@ -56,6 +56,7 @@ class VerifyService
      *                   the SignService's for one fabric-wide
      *                   budget); nullptr builds a private one from
      *                   the config's limits
+     * @throws std::invalid_argument for config.variant Ptx
      */
     explicit VerifyService(
         KeyStore &store, const ServiceConfig &config = {},

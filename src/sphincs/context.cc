@@ -24,10 +24,9 @@ Context::~Context()
     secureZero(skSeed_);
 }
 
-Context::Context(const Params &params, ByteSpan pk_seed, ByteSpan sk_seed,
-                 Sha256Variant variant)
+Context::Context(const Params &params, ByteSpan pk_seed, ByteSpan sk_seed)
     : params_(params), pkSeed_(pk_seed.begin(), pk_seed.end()),
-      skSeed_(sk_seed.begin(), sk_seed.end()), variant_(variant)
+      skSeed_(sk_seed.begin(), sk_seed.end())
 {
     constructions.fetch_add(1, std::memory_order_relaxed);
     params_.validate();
@@ -40,7 +39,7 @@ Context::Context(const Params &params, ByteSpan pk_seed, ByteSpan sk_seed,
     // pk_seed || toByte(0, 64 - n): exactly one compression.
     uint8_t block[Sha256::blockSize] = {};
     std::memcpy(block, pkSeed_.data(), params_.n);
-    Sha256 hasher(variant_);
+    Sha256 hasher;
     hasher.update(ByteSpan(block, sizeof(block)));
     seeded_ = hasher.midState();
 }

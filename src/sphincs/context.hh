@@ -30,10 +30,8 @@ class Context
      * @param params parameter set
      * @param pk_seed public seed (n bytes)
      * @param sk_seed secret seed (n bytes; empty for verify-only)
-     * @param variant which SHA-256 implementation to run
      */
-    Context(const Params &params, ByteSpan pk_seed, ByteSpan sk_seed,
-            Sha256Variant variant = Sha256Variant::Native);
+    Context(const Params &params, ByteSpan pk_seed, ByteSpan sk_seed);
 
     Context(const Context &) = default;
     Context(Context &&) = default;
@@ -48,7 +46,6 @@ class Context
     const Params &params() const { return params_; }
     ByteSpan pkSeed() const { return pkSeed_; }
     ByteSpan skSeed() const { return skSeed_; }
-    Sha256Variant variant() const { return variant_; }
 
     /** True if this context can derive secrets (sk_seed present). */
     bool canSign() const { return !skSeed_.empty(); }
@@ -57,7 +54,7 @@ class Context
     const Sha256State &seededState() const { return seeded_; }
 
     /** Start a hasher resumed from the seeded mid-state. */
-    Sha256 seededHasher() const { return Sha256(seeded_, variant_); }
+    Sha256 seededHasher() const { return Sha256(seeded_); }
 
     /**
      * Process-wide count of Context constructions (copies excluded).
@@ -71,7 +68,6 @@ class Context
     Params params_;
     ByteVec pkSeed_;
     ByteVec skSeed_;
-    Sha256Variant variant_;
     Sha256State seeded_;
 };
 

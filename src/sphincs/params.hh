@@ -117,6 +117,14 @@ struct Params
     /** Validate internal consistency; throws std::invalid_argument. */
     void validate() const;
 
+    /** Same n, h, d, a, k and w as @p o; the name is ignored. */
+    bool sameShape(const Params &o) const
+    {
+        return n == o.n && fullHeight == o.fullHeight &&
+               layers == o.layers && forsHeight == o.forsHeight &&
+               forsTrees == o.forsTrees && wotsW == o.wotsW;
+    }
+
     /** The three -f parameter sets of the paper (Table I). */
     static const Params &sphincs128f();
     static const Params &sphincs192f();

@@ -26,7 +26,8 @@ SignTask::SignTask(const Context &ctx, const SecretKey &sk, ByteSpan msg,
 {
     const Params &p = ctx.params();
     const unsigned n = p.n;
-    if (p.n != sk.params.n || !ctEqual(ctx.pkSeed(), ByteSpan(sk.pkSeed)) ||
+    if (!p.sameShape(sk.params) ||
+        !ctEqual(ctx.pkSeed(), ByteSpan(sk.pkSeed)) ||
         !ctEqual(ctx.skSeed(), ByteSpan(sk.skSeed)))
         throw std::invalid_argument(
             "SignTask: context does not match the secret key");

@@ -63,7 +63,8 @@ class SignTask
      * every (tree, leaf) index, derives the k FORS secret values into
      * the signature buffer. After this the remaining work is exactly
      * the leaf hashing and tree building the phases expose.
-     * @param ctx warm context built for @p sk (checked, throws
+     * @param ctx warm context built for @p sk: same parameter shape
+     *        (Params::sameShape), pk_seed and sk_seed (checked, throws
      *        std::invalid_argument on mismatch; must outlive the task)
      * @param opt_rand n bytes of signing randomness; empty selects
      *        the deterministic variant

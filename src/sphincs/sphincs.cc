@@ -112,8 +112,7 @@ splitDigest(const Params &params, ByteSpan digest)
     return out;
 }
 
-SphincsPlus::SphincsPlus(const Params &params, Sha256Variant variant)
-    : params_(params), variant_(variant)
+SphincsPlus::SphincsPlus(const Params &params) : params_(params)
 {
     params_.validate();
 }
@@ -121,7 +120,7 @@ SphincsPlus::SphincsPlus(const Params &params, Sha256Variant variant)
 ByteVec
 SphincsPlus::computePkRoot(ByteSpan sk_seed, ByteSpan pk_seed) const
 {
-    Context ctx(params_, pk_seed, sk_seed, variant_);
+    Context ctx(params_, pk_seed, sk_seed);
     ByteVec root(params_.n);
     xmssTreehash(root.data(), nullptr, ctx, params_.layers - 1, 0, 0);
     return root;
@@ -158,7 +157,7 @@ ByteVec
 SphincsPlus::sign(ByteSpan msg, const SecretKey &sk,
                   ByteSpan opt_rand) const
 {
-    Context ctx(params_, sk.pkSeed, sk.skSeed, variant_);
+    Context ctx(params_, sk.pkSeed, sk.skSeed);
     return sign(ctx, msg, sk, opt_rand);
 }
 
@@ -177,7 +176,7 @@ SphincsPlus::verify(ByteSpan msg, ByteSpan sig, const PublicKey &pk) const
 {
     if (sig.size() != params_.sigBytes())
         return false;
-    Context ctx(params_, pk.pkSeed, {}, variant_);
+    Context ctx(params_, pk.pkSeed, {});
     return verify(ctx, msg, sig, pk);
 }
 
@@ -300,7 +299,7 @@ SphincsPlus::verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
                          const PublicKey &pk, bool ok[],
                          size_t count) const
 {
-    Context ctx(params_, pk.pkSeed, {}, variant_);
+    Context ctx(params_, pk.pkSeed, {});
     verifyBatch(ctx, msgs, sigs, pk, ok, count);
 }
 
@@ -329,7 +328,7 @@ SphincsPlus::verifyBatch(const Context &ctx, const ByteSpan msgs[],
                          const ByteSpan sigs[], const PublicKey &pk,
                          bool ok[], size_t count) const
 {
-    if (ctx.params().n != params_.n ||
+    if (!ctx.params().sameShape(params_) ||
         !ctEqual(ctx.pkSeed(), ByteSpan(pk.pkSeed)))
         throw std::invalid_argument(
             "verifyBatch: context does not match the public key");

@@ -87,8 +87,7 @@ DigestSplit splitDigest(const Params &params, ByteSpan digest);
 class SphincsPlus
 {
   public:
-    explicit SphincsPlus(const Params &params,
-                         Sha256Variant variant = Sha256Variant::Native);
+    explicit SphincsPlus(const Params &params);
 
     const Params &params() const { return params_; }
 
@@ -112,9 +111,9 @@ class SphincsPlus
 
     /**
      * Sign @p msg reusing a warm context: a SignTask group of one.
-     * @p ctx must have been built for @p sk (same pk_seed and
-     * sk_seed) — checked, throws std::invalid_argument on mismatch.
-     * No per-sign Context construction.
+     * @p ctx must have been built for @p sk (same parameter shape,
+     * pk_seed and sk_seed) — checked, throws std::invalid_argument on
+     * mismatch. No per-sign Context construction.
      */
     ByteVec sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                  ByteSpan opt_rand = {}) const;
@@ -124,9 +123,9 @@ class SphincsPlus
 
     /**
      * Verify reusing a warm context: verifyBatch() with count 1.
-     * @p ctx must carry the public key's pk_seed (a signing context
-     * for the same keypair works) — checked, throws
-     * std::invalid_argument on mismatch.
+     * @p ctx must carry this scheme's parameter shape and the public
+     * key's pk_seed (a signing context for the same keypair works) —
+     * checked, throws std::invalid_argument on mismatch.
      */
     bool verify(const Context &ctx, ByteSpan msg, ByteSpan sig,
                 const PublicKey &pk) const;
@@ -145,7 +144,7 @@ class SphincsPlus
     void verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
                      const PublicKey &pk, bool ok[], size_t count) const;
 
-    /** Batched verification reusing a warm context. */
+    /** Batched verification reusing a warm context, checked as verify(ctx). */
     void verifyBatch(const Context &ctx, const ByteSpan msgs[],
                      const ByteSpan sigs[], const PublicKey &pk,
                      bool ok[], size_t count) const;
@@ -168,7 +167,6 @@ class SphincsPlus
 
   private:
     Params params_;
-    Sha256Variant variant_;
 };
 
 } // namespace herosign::sphincs

@@ -43,7 +43,7 @@ hashMessage(MutByteSpan digest, const Context &ctx, ByteSpan r,
             ByteSpan pk_root, ByteSpan msg)
 {
     // seed1 = SHA-256(R || pk_seed || pk_root || msg)
-    Sha256 inner(ctx.variant());
+    Sha256 inner;
     inner.update(r);
     inner.update(ctx.pkSeed());
     inner.update(pk_root);

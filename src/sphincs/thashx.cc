@@ -69,18 +69,17 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
     fillOneBlocks(blocks, bptrs, mid, adrs, in, in_len, count);
 
     const LaneDispatch d = laneDispatch();
-    const bool native = ctx.variant() == Sha256Variant::Native;
     uint8_t digests[maxHashLanes][Sha256::digestSize];
     uint8_t *dptrs[maxHashLanes];
     for (unsigned l = 0; l < count; ++l)
         dptrs[l] = digests[l];
 
     unsigned l = 0;
-    while (native && d.avx512 && count - l >= 16) {
+    while (d.avx512 && count - l >= 16) {
         sha256Final16SeededAvx512(mid.h, bptrs + l, dptrs + l);
         l += 16;
     }
-    while (native && d.avx2 && count - l >= 8) {
+    while (d.avx2 && count - l >= 8) {
         sha256Final8SeededAvx2(mid.h, bptrs + l, dptrs + l);
         l += 8;
     }
@@ -96,10 +95,7 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
     }
     for (; l < count; ++l) {
         std::array<uint32_t, 8> h = mid.h;
-        if (native)
-            sha256CompressNative(h, blocks[l]);
-        else
-            sha256CompressPtx(h, blocks[l]);
+        sha256CompressNative(h, blocks[l]);
         for (int i = 0; i < 8; ++i)
             storeBe32(digests[l] + 4 * i, h[i]);
     }
@@ -126,7 +122,7 @@ thashX(uint8_t *const out[], const Context &ctx, const Address adrs[],
     // Long inputs (e.g. the T_len public-key compression of a whole
     // leaf's chains): the incremental lane engine at exactly the
     // batch's width — it picks the widest kernels internally.
-    Sha256Lanes hasher(count, ctx.seededState(), ctx.variant());
+    Sha256Lanes hasher(count, ctx.seededState());
 
     std::array<uint8_t, Address::compressedSize> adrs_c[maxHashLanes];
     const uint8_t *ptrs[maxHashLanes];
@@ -165,8 +161,7 @@ thashChainX(uint8_t *const vals[], const Context &ctx,
     const unsigned n = p.n;
     const Sha256State &mid = ctx.seededState();
 
-    if (count == chainKernelLanes && laneDispatch().avx512 &&
-        ctx.variant() == Sha256Variant::Native) {
+    if (count == chainKernelLanes && laneDispatch().avx512) {
         alignas(64) uint8_t blocks[chainKernelLanes][Sha256::blockSize];
         const uint8_t *bptrs[chainKernelLanes];
         fillOneBlocks(blocks, bptrs, mid, adrs, vals, n, count);
@@ -195,8 +190,8 @@ thashChainX(uint8_t *const vals[], const Context &ctx,
         return;
     }
 
-    // Every other tier, variant and partial group: the same segment
-    // as one fused one-block call per step.
+    // Every other tier and partial group: the same segment as one
+    // fused one-block call per step.
     Address lane_adrs[maxHashLanes];
     for (unsigned l = 0; l < count; ++l) {
         lane_adrs[l] = adrs[l];

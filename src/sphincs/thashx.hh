@@ -80,8 +80,9 @@ thashFX(uint8_t *const out[], const Context &ctx, const Address adrs[],
  * owns the tier choice for chains: a full 16-lane group on native
  * AVX-512 runs the register-resident chain kernel
  * (sha256Chain16SeededAvx512); every other case (AVX2, portable,
- * forced-scalar or quarantined lanes, the Ptx variant, fewer than 16
- * lanes) runs the segment as one fused one-block F call per step.
+ * forced-scalar or quarantined lanes, fewer than 16 lanes) runs the
+ * segment as one fused one-block F call per step. Only
+ * laneDispatch() and the lane count pick the path.
  * Both give the same bytes and charge count * steps compressions.
  * The simd-lane fault seam fires once per kernel call.
  *

@@ -114,6 +114,29 @@ TEST(LaneSchedulerTest, MixedParameterSetGroupRejects)
                  std::invalid_argument);
 }
 
+// A task lays its signature out by the context's parameters and
+// hashes the message under the key's pk_root, so the two must share
+// the whole shape, not only n and the seeds. The name does not count.
+TEST(LaneSchedulerTest, TaskRejectsKeyOfOtherShapeWithTheSameN)
+{
+    const Params p = miniParams();
+    Params other = p;
+    other.name = "mini-two-layers";
+    other.layers = 2;
+    const auto kp = SphincsPlus(other).keygenFromSeed(fixedSeed(other));
+    const Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
+    const ByteVec msg = patternMsg(32);
+    EXPECT_THROW(SignTask(ctx, kp.sk, msg), std::invalid_argument);
+
+    Params alias = other;
+    alias.name = "mini-two-layers-alias";
+    const Context same(alias, kp.sk.pkSeed, kp.sk.skSeed);
+    SignTask task(same, kp.sk, msg);
+    SignTask *one[1] = {&task};
+    SignTask::runGroup(one, 1);
+    EXPECT_EQ(task.takeSignature(), oracle::oracleSign(kp.sk, msg));
+}
+
 TEST(LaneSchedulerTest, OversizedGroupRejects)
 {
     const Params p = miniParams();

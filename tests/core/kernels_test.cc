@@ -105,18 +105,16 @@ struct Fixture
     }
 
     gpu::ExecResult
-    runFors(const ForsGeometry &geo, bool hybrid = true,
-            Sha256Variant v = Sha256Variant::Native)
+    runFors(const ForsGeometry &geo, bool hybrid = true)
     {
-        ForsSignKernel body(job, geo, MemPolicy{hybrid}, v);
+        ForsSignKernel body(job, geo, MemPolicy{hybrid});
         gpu::LaunchSpec spec;
         spec.blockDim = body.blockThreads();
         spec.sharedBytes = body.sharedBytes();
         spec.gridDim = 1;
         // A fresh kernel instance owned by the spec.
         spec.body = std::make_shared<ForsSignKernel>(job, geo,
-                                                     MemPolicy{hybrid},
-                                                     v);
+                                                     MemPolicy{hybrid});
         return gpu::executeLaunch(dev(), cp(), spec);
     }
 };
@@ -234,8 +232,8 @@ TEST(ForsKernel, RelaxHalvesSharedMemory)
     Fixture f(p, 9);
     ForsGeometry plain{512, 1, 1, false, true};
     ForsGeometry relax{256, 1, 1, true, true};
-    ForsSignKernel kp(f.job, plain, MemPolicy{}, Sha256Variant::Native);
-    ForsSignKernel kr(f.job, relax, MemPolicy{}, Sha256Variant::Native);
+    ForsSignKernel kp(f.job, plain, MemPolicy{});
+    ForsSignKernel kr(f.job, relax, MemPolicy{});
     // Relax keeps only levels >= 1: about half the footprint.
     EXPECT_LT(kr.sharedBytes(), kp.sharedBytes() * 0.6);
 }
@@ -260,8 +258,7 @@ TEST(ForsKernel, RejectsInconsistentGeometry)
     const Params &p = Params::sphincs128f();
     Fixture f(p, 13);
     ForsGeometry bad{703, 11, 3, false, true}; // not Ntree * t
-    EXPECT_THROW(ForsSignKernel(f.job, bad, MemPolicy{},
-                                Sha256Variant::Native),
+    EXPECT_THROW(ForsSignKernel(f.job, bad, MemPolicy{}),
                  std::invalid_argument);
 }
 
@@ -274,13 +271,12 @@ TEST_P(TreeKernelSets, MatchesMerkleSignReference)
     const Params &p = *GetParam();
     Fixture f(p, 21);
 
-    TreeSignKernel body(f.job, true, MemPolicy{}, Sha256Variant::Native);
+    TreeSignKernel body(f.job, true, MemPolicy{});
     gpu::LaunchSpec spec;
     spec.blockDim = body.blockThreads();
     spec.sharedBytes = body.sharedBytes();
     spec.gridDim = 1;
-    spec.body = std::make_shared<TreeSignKernel>(
-        f.job, true, MemPolicy{}, Sha256Variant::Native);
+    spec.body = std::make_shared<TreeSignKernel>(f.job, true, MemPolicy{});
     gpu::executeLaunch(dev(), cp(), spec);
 
     // Reference: per layer, the oracle's treehash root and the auth
@@ -324,8 +320,7 @@ TEST(TreeKernel, SharedMemoryMatchesPaperFootprints)
     // §III-B1: roughly 1 KB / 4.125 KB / 8.5 KB for the d subtrees.
     auto footprint = [](const Params &p) {
         Fixture f(p, 31);
-        TreeSignKernel body(f.job, true, MemPolicy{},
-                            Sha256Variant::Native);
+        TreeSignKernel body(f.job, true, MemPolicy{});
         return body.sharedBytes();
     };
     EXPECT_NEAR(footprint(Params::sphincs128f()), 176 * 16, 176 * 16);
@@ -342,13 +337,12 @@ TEST_P(WotsKernelSets, MatchesWotsSignReference)
     const Params &p = *GetParam();
     Fixture f(p, 41);
 
-    WotsSignKernel body(f.job, false, true, MemPolicy{},
-                        Sha256Variant::Native);
+    WotsSignKernel body(f.job, false, true, MemPolicy{});
     gpu::LaunchSpec spec;
     spec.blockDim = body.blockThreads();
     spec.gridDim = 1;
     spec.body = std::make_shared<WotsSignKernel>(
-        f.job, false, true, MemPolicy{}, Sha256Variant::Native);
+        f.job, false, true, MemPolicy{});
     gpu::executeLaunch(dev(), cp(), spec);
 
     for (unsigned layer = 0; layer < p.layers; ++layer) {
@@ -383,7 +377,7 @@ TEST(WotsKernel, FullChainModeChargesMoreButSignsSame)
     auto run = [&](Fixture &f, bool full) {
         gpu::LaunchSpec spec;
         auto body = std::make_shared<WotsSignKernel>(
-            f.job, full, !full, MemPolicy{}, Sha256Variant::Native);
+            f.job, full, !full, MemPolicy{});
         spec.blockDim = body->blockThreads();
         spec.gridDim = 1;
         spec.body = body;
@@ -401,8 +395,7 @@ TEST(WotsKernel, BlockThreadsCapAt1024)
 {
     const Params &p = Params::sphincs256f(); // 17 x 67 = 1139 chains
     Fixture f(p, 61);
-    WotsSignKernel body(f.job, false, true, MemPolicy{},
-                        Sha256Variant::Native);
+    WotsSignKernel body(f.job, false, true, MemPolicy{});
     EXPECT_LE(body.blockThreads(), 1024u);
     EXPECT_EQ(body.blockThreads() % 32, 0u);
 }

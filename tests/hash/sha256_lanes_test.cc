@@ -31,8 +31,7 @@ struct ScopedScalarLanes
 /** Hash @p width lanes one-shot through Sha256Lanes. */
 void
 digestLanes(unsigned width, const std::vector<ByteVec> &msgs,
-            uint8_t digests[][32],
-            Sha256Variant variant = Sha256Variant::Native)
+            uint8_t digests[][32])
 {
     const uint8_t *ptrs[Sha256Lanes::maxLanes];
     uint8_t *dptrs[Sha256Lanes::maxLanes];
@@ -40,7 +39,7 @@ digestLanes(unsigned width, const std::vector<ByteVec> &msgs,
         ptrs[l] = msgs[l].data();
         dptrs[l] = digests[l];
     }
-    Sha256Lanes hasher(width, variant);
+    Sha256Lanes hasher(width);
     hasher.update(ptrs, msgs[0].size());
     hasher.final(dptrs);
 }
@@ -88,23 +87,6 @@ TEST(Sha256Lanes, MatchesScalarOnPortableBackend)
     for (unsigned width : {8u, 16u})
         for (size_t len : lengths)
             expectMatchesScalar(width, len, seed++);
-}
-
-TEST(Sha256Lanes, PtxVariantLanesMatchScalar)
-{
-    Rng rng(7);
-    for (unsigned width : {8u, 16u}) {
-        std::vector<ByteVec> msgs(width);
-        for (auto &m : msgs)
-            m = rng.bytes(96);
-        uint8_t digests[Sha256Lanes::maxLanes][32];
-        digestLanes(width, msgs, digests, Sha256Variant::Ptx);
-        for (unsigned l = 0; l < width; ++l) {
-            auto expected = Sha256::digest(msgs[l], Sha256Variant::Ptx);
-            EXPECT_EQ(hexEncode(ByteSpan(digests[l], 32)),
-                      hexEncode(expected));
-        }
-    }
 }
 
 TEST(Sha256Lanes, MidStateResumeMatchesScalar)

@@ -134,6 +134,16 @@ TEST(ContextCache, LruEviction)
     EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(ContextCache, AcceptsTheNativeVariantOnly)
+{
+    // The variant parameter stays for existing callers; the PTX
+    // flavour is priced by the GPU simulator and never signs.
+    EXPECT_THROW(ContextCache(4, Sha256Variant::Ptx),
+                 std::invalid_argument);
+    ContextCache cache(4, Sha256Variant::Native);
+    EXPECT_EQ(cache.capacity(), 4u);
+}
+
 TEST(ContextCache, CapacityClampedToOne)
 {
     const auto p = miniParams();

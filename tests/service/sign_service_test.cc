@@ -321,6 +321,38 @@ TEST(SignService, SharedCacheAcrossServices)
     EXPECT_EQ(st.hits, 1u);
 }
 
+// ServiceConfig::variant stays, accepting Native only: the PTX
+// flavour exists in the GPU simulator's cost model alone. Both
+// services refuse a Ptx config before the plane that launches their
+// workers is built, with a private cache or a shared one. The default
+// config still signs like the oracle.
+TEST(SignService, PtxVariantConfigThrowsAndDefaultSigns)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+    const auto &kp = t.keys.at("tenant-0");
+
+    ServiceConfig ptx;
+    ptx.variant = Sha256Variant::Ptx;
+    EXPECT_THROW(SignService(t.store, ptx), std::invalid_argument);
+    EXPECT_THROW(VerifyService(t.store, ptx), std::invalid_argument);
+
+    auto cache = std::make_shared<service::ContextCache>(8);
+    auto admission = std::make_shared<service::AdmissionController>();
+    EXPECT_THROW(SignService(t.store, ptx, cache, nullptr, admission),
+                 std::invalid_argument);
+    EXPECT_THROW(VerifyService(t.store, ptx, cache, nullptr, admission),
+                 std::invalid_argument);
+    EXPECT_EQ(cache->size(), 0u);
+    EXPECT_EQ(admission->pendingTotal(), 0u);
+
+    SignService svc(t.store, ServiceConfig{});
+    const ByteVec msg = patternMsg(24, 5);
+    EXPECT_EQ(hexEncode(svc.submit("tenant-0", signReq(msg)).get()),
+              hexEncode(oracle::oracleSign(kp.sk, msg)));
+}
+
 // Every pool knob at 0 clamps to one worker and a one-entry cache on
 // both planes, and the pair still signs and verifies exactly like the
 // spec oracle. The default config's coalescing windows are

@@ -84,20 +84,6 @@ TEST_P(GoldenSign, TamperedSignatureOrMessageRejected)
     EXPECT_FALSE(scheme.verify(msg, shortSig, kp.pk)) << p.name;
 }
 
-TEST_P(GoldenSign, PtxVariantSignsIdentically)
-{
-    // The PTX-flavoured compression branch must not change signatures.
-    const GoldenVector &g = GetParam();
-    const Params &p = Params::byName(g.name);
-    SphincsPlus native(p, Sha256Variant::Native);
-    SphincsPlus ptx(p, Sha256Variant::Ptx);
-    auto kpN = native.keygenFromSeed(fixedSeed(p));
-    auto kpP = ptx.keygenFromSeed(fixedSeed(p));
-    EXPECT_EQ(kpN.pk.pkRoot, kpP.pk.pkRoot);
-    ByteVec msg = fixedMsg();
-    EXPECT_EQ(native.sign(msg, kpN.sk), ptx.sign(msg, kpP.sk));
-}
-
 INSTANTIATE_TEST_SUITE_P(AllParamSets, GoldenSign,
     ::testing::ValuesIn(goldens),
     [](const ::testing::TestParamInfo<GoldenVector> &info) {

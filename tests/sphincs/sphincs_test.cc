@@ -158,22 +158,6 @@ TEST(Sphincs, RandomizedSignaturesDifferButVerify)
     EXPECT_TRUE(scheme.verify(msg, s2, kp.pk));
 }
 
-TEST(Sphincs, PtxVariantProducesIdenticalSignatures)
-{
-    const Params &p = Params::sphincs128f();
-    SphincsPlus native(p, Sha256Variant::Native);
-    SphincsPlus ptx(p, Sha256Variant::Ptx);
-
-    ByteVec seed(3 * p.n, 0x17);
-    KeyPair kn = native.keygenFromSeed(seed);
-    KeyPair kx = ptx.keygenFromSeed(seed);
-    EXPECT_EQ(hexEncode(kn.pk.pkRoot), hexEncode(kx.pk.pkRoot));
-
-    ByteVec msg{'m', 's', 'g'};
-    EXPECT_EQ(hexEncode(native.sign(msg, kn.sk)),
-              hexEncode(ptx.sign(msg, kx.sk)));
-}
-
 TEST(Sphincs, KeySerializationRoundtrip)
 {
     const Params &p = Params::sphincs192f();

@@ -143,25 +143,6 @@ TEST_P(ThashTest, HashMessageMatchesMgf1Construction)
     EXPECT_EQ(hexEncode(digest), hexEncode(expected));
 }
 
-TEST_P(ThashTest, VariantsAgree)
-{
-    Rng rng(16);
-    ByteVec pk_seed = rng.bytes(p().n);
-    ByteVec sk_seed = rng.bytes(p().n);
-    Context native(p(), pk_seed, sk_seed, Sha256Variant::Native);
-    Context ptx(p(), pk_seed, sk_seed, Sha256Variant::Ptx);
-
-    Address adrs;
-    adrs.setType(AddrType::ForsTree);
-    adrs.setTreeIndex(9);
-
-    ByteVec in = rng.bytes(2 * p().n);
-    uint8_t a[maxN], b[maxN];
-    thash(a, native, adrs, in);
-    thash(b, ptx, adrs, in);
-    EXPECT_TRUE(ctEqual(ByteSpan(a, p().n), ByteSpan(b, p().n)));
-}
-
 TEST(ThashContext, RejectsBadSeeds)
 {
     const Params &p = Params::sphincs128f();

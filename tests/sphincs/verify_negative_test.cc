@@ -7,7 +7,8 @@
  * — and assert that the batched lane-parallel verifier rejects, with
  * the same verdict as the spec oracle. Truncation, extension and a
  * wrong key are held to the oracle too. Valid lanes interleaved into
- * every batched group prove corruption cannot leak across lanes.
+ * every batched group prove corruption cannot leak across lanes. A
+ * context of another parameter shape with the same n is refused.
  */
 
 #include <gtest/gtest.h>
@@ -151,6 +152,36 @@ TEST_P(VerifyNegative, EveryCorruptedRegionRejectsLikeTheOracle)
     // A valid signature under the other key's public key.
     EXPECT_FALSE(scheme.verify(msg, good, other.pk));
     EXPECT_FALSE(oracle::oracleVerify(other.pk, msg, good));
+}
+
+// A context must match the scheme's whole parameter shape, not only
+// n. This custom set shares n = 32 with 256f but signs in 7,136 bytes;
+// walked with 256f's FORS and hypertree shape, its signature would be
+// read far past its end (up to byte 11,232).
+TEST(VerifyContext, RejectsOtherShapeWithTheSameN)
+{
+    const Params p{"custom-n32", 32, 10, 2, 5, 13, 16};
+    SphincsPlus scheme(p);
+    const auto kp = scheme.keygenFromSeed(ByteVec(3 * p.n, 0x42));
+    const std::string txt = "shape check";
+    const ByteVec msg(txt.begin(), txt.end());
+    const ByteVec sig = scheme.sign(msg, kp.sk);
+    ASSERT_EQ(sig.size(), 7136u);
+
+    const Context wrong(Params::sphincs256f(), kp.pk.pkSeed, {});
+    EXPECT_THROW(scheme.verify(wrong, msg, sig, kp.pk),
+                 std::invalid_argument);
+    ByteSpan m(msg), s(sig);
+    bool ok = true;
+    EXPECT_THROW(scheme.verifyBatch(wrong, &m, &s, kp.pk, &ok, 1),
+                 std::invalid_argument);
+
+    // The name is not part of the shape.
+    Params alias = p;
+    alias.name = "custom-n32-alias";
+    const Context same(alias, kp.pk.pkSeed, {});
+    EXPECT_TRUE(scheme.verify(same, msg, sig, kp.pk));
+    EXPECT_TRUE(oracle::oracleVerify(kp.pk, msg, sig));
 }
 
 INSTANTIATE_TEST_SUITE_P(TableI, VerifyNegative,
