@@ -9,7 +9,7 @@
  *
  * A second table sweeps workers (1/2/4/8/16) x lane width
  * (scalar/x8/x16) x batching mode: "within" sets signCoalesce 1 (each
- * signature signs as a LaneScheduler group of one and batches only
+ * signature signs as a SignTask group of one and batches only
  * its own hash work: its k FORS trees fill the lanes, its narrow
  * hypertree layers do not) while "cross" keeps signCoalesce 0, so
  * workers coalesce queued signatures into lockstep lane groups. The
@@ -267,6 +267,6 @@ main(int argc, char **argv)
          "within = coalescing disabled (signCoalesce 1, each signature "
          "batches only its own hash work); cross = workers coalesce "
          "queued signatures into lockstep lane groups (signCoalesce "
-         "0, LaneScheduler). Byte-identical output in every cell.");
+         "0, SignTask groups). Byte-identical output in every cell.");
     return 0;
 }

@@ -13,7 +13,7 @@
  * width through a single-key SignService, whose workers coalesce
  * queued signatures into cross-signature lane groups —
  * the row to hold against the paper's 16-thread AVX2 line
- * (0.828/0.560/0.356 KOPS). Each row signs preferredGroup() x threads
+ * (0.828/0.560/0.356 KOPS). Each row signs hashLaneWidth() x threads
  * x 2 messages, two full lane groups per worker. On a host with fewer
  * cores the thread rows flatten; the lane-width split remains.
  *
@@ -26,12 +26,12 @@
 #include <chrono>
 #include <thread>
 
-#include "batch/lane_scheduler.hh"
 #include "bench_util.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
 #include "service/sign_service.hh"
 #include "sphincs/sphincs.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using namespace herosign::bench;
@@ -54,8 +54,7 @@ measureThreadedKops(const Params &p, bool force_scalar, bool no_avx512,
 {
     sha256LanesForceScalar(force_scalar);
     sha256LanesDisableAvx512(no_avx512);
-    const unsigned msgs =
-        batch::LaneScheduler::preferredGroup() * workers * 2;
+    const unsigned msgs = sphincs::hashLaneWidth() * workers * 2;
 
     sphincs::SphincsPlus scheme(p);
     Rng rng(1);

@@ -162,7 +162,7 @@ main(int argc, char **argv)
         std::cerr << "  prom_check: " << e << "\n";
 
     bool ok = check.ok;
-    if (telemetry::compiledIn() && stats.stages.empty()) {
+    if (stats.stages.empty()) {
         std::cerr << "soak: no stage histograms recorded\n";
         ok = false;
     }

@@ -1,21 +1,12 @@
 /**
  * @file
- * LaneScheduler: cross-signature sign-side lane batching.
- *
- * Verification fills SIMD lanes across signatures; a signature's
- * own hypertree layers are too narrow to (one layer's ragged WOTS
- * chains, 8..16 WOTS leaves per subtree on the -f sets). A group of
- * in-flight signatures under one key signs together through
- * sphincs::SignTask::runGroup(): all group * k FORS trees are
- * independent, so one forsTreeBatch() call builds them in full lane
- * groups, and the d hypertree layers then advance in lockstep, with
- * every WOTS leaf descriptor and every same-shape tree combine pooled
- * across the group.
- *
- * Group members must share one warm Context (same key, same
- * parameter set) — mixed-parameter-set groups are rejected with
- * std::invalid_argument. Output signatures do not depend on the lane
- * width or the group size.
+ * LaneScheduler: the two group-signing names the serving benchmark
+ * (perfbench/src/layers.cc) still calls. Group signing lives in
+ * sphincs::SignTask; signGroup() forwards to SignTask::signGroup() and
+ * preferredGroup() is sphincs::hashLaneWidth(). Both go, with this
+ * header, once perfbench's per-layer rows call SignTask::signGroup()
+ * and hashLaneWidth() directly. Nothing under src/ may use them (the
+ * real_path_boundary CTest entry enforces that).
  */
 
 #ifndef HEROSIGN_BATCH_LANE_SCHEDULER_HH
@@ -28,35 +19,20 @@
 namespace herosign::batch
 {
 
-/** Group sizing and the convenience entry for lane groups. */
-class LaneScheduler
+struct LaneScheduler
 {
-  public:
-    /** Largest lockstep group (the lane-batch hard bound). */
-    static constexpr unsigned maxGroup = sphincs::maxHashLanes;
+    /** sphincs::hashLaneWidth(). */
+    static unsigned preferredGroup() { return sphincs::hashLaneWidth(); }
 
-    /**
-     * The group size worth coalescing toward on this host: the
-     * dispatched hash-lane width (16 with AVX-512, 8 elsewhere).
-     * Larger groups still help (combine pooling, tail amortization)
-     * up to maxGroup but with diminishing returns.
-     */
-    static unsigned preferredGroup()
-    {
-        return sphincs::hashLaneWidth();
-    }
-
-    /**
-     * Sign @p count messages (1..maxGroup) under one key as one
-     * pooled group. opt_rands[i] may be empty (deterministic
-     * signing); @p opt_rands itself may be nullptr for all-
-     * deterministic. sigs[i] receives the signature for msgs[i].
-     * @throws std::invalid_argument on an oversized group
-     */
+    /** sphincs::SignTask::signGroup(). */
     static void signGroup(const sphincs::Context &ctx,
                           const sphincs::SecretKey &sk,
                           const ByteSpan msgs[], const ByteSpan opt_rands[],
-                          ByteVec sigs[], unsigned count);
+                          ByteVec sigs[], unsigned count)
+    {
+        sphincs::SignTask::signGroup(ctx, sk, msgs, opt_rands, sigs,
+                                     count);
+    }
 };
 
 } // namespace herosign::batch

@@ -115,16 +115,18 @@ Sha256::midState() const
 void
 Sha256::final(uint8_t *out)
 {
-    uint64_t bit_len = total_ * 8;
-    uint8_t pad = 0x80;
-    update(ByteSpan(&pad, 1));
-    uint8_t zero = 0;
-    while (bufLen_ != blockSize - 8)
-        update(ByteSpan(&zero, 1));
-    uint8_t len_be[8];
-    storeBe64(len_be, bit_len);
-    // Bypass the total_ accounting for the length field.
-    std::memcpy(buf_ + bufLen_, len_be, 8);
+    // Padding written in place: 0x80, zeros to 56 mod 64, then the
+    // 64-bit bit length (one extra block when fewer than 9 bytes are
+    // left in the buffered one).
+    size_t r = bufLen_;
+    buf_[r++] = 0x80;
+    if (r > blockSize - 8) {
+        std::memset(buf_ + r, 0, blockSize - r);
+        compress(buf_);
+        r = 0;
+    }
+    std::memset(buf_ + r, 0, blockSize - 8 - r);
+    storeBe64(buf_ + blockSize - 8, total_ * 8);
     compress(buf_);
     bufLen_ = 0;
     for (int i = 0; i < 8; ++i)

@@ -66,8 +66,8 @@ class ServiceOverload : public std::runtime_error
  *    keep up with mixed traffic and leave most cores to the sign
  *    plane.
  *  - Sign window = the lane width (signCoalesce = 0, resolved to
- *    LaneScheduler::preferredGroup()): one coalesced group fills
- *    every hash lane once.
+ *    sphincs::hashLaneWidth()): one coalesced group fills every hash
+ *    lane once.
  *  - Verify window = 4 x the lane width (fixed): one drained chunk
  *    fills whole lane groups for several tenants at once without
  *    starving sibling workers.

@@ -2,16 +2,16 @@
 
 #include <stdexcept>
 
-#include "batch/lane_scheduler.hh"
 #include "common/errors.hh"
 #include "common/fault.hh"
 #include "hash/sha256xN.hh"
 #include "sphincs/sign_task.hh"
+#include "sphincs/thashx.hh"
 
 namespace herosign::service
 {
 
-using batch::LaneScheduler;
+using sphincs::maxHashLanes;
 using sphincs::SignTask;
 
 namespace
@@ -23,10 +23,9 @@ signShape(const ServiceConfig &config)
     requireNativeVariant(config.variant); // before the plane starts
     PlaneShape shape;
     shape.workers = config.workers;
-    shape.window = config.signCoalesce == 0
-                       ? LaneScheduler::preferredGroup()
-                       : config.signCoalesce;
-    shape.maxGroup = LaneScheduler::maxGroup;
+    shape.window = config.signCoalesce == 0 ? sphincs::hashLaneWidth()
+                                            : config.signCoalesce;
+    shape.maxGroup = maxHashLanes;
     return shape;
 }
 
@@ -148,9 +147,9 @@ SignService::process(std::span<Job *const> group)
     // can throw per job; a failed member is dropped and the rest
     // still sign together.
     const WarmContext &warm = *group[0]->warm;
-    std::unique_ptr<SignTask> tasks[LaneScheduler::maxGroup];
-    SignTask *ptrs[LaneScheduler::maxGroup];
-    Job *live[LaneScheduler::maxGroup];
+    std::unique_ptr<SignTask> tasks[maxHashLanes];
+    SignTask *ptrs[maxHashLanes];
+    Job *live[maxHashLanes];
     unsigned nlive = 0;
     for (Job *job : group) {
         try {

@@ -131,8 +131,6 @@ class SignService
         return admission_;
     }
 
-    KeyStore &keyStore() const { return store_; }
-
   private:
     /** One queued signing job, fully routed at admission. */
     struct Job : PlaneJob<ByteVec>

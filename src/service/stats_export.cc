@@ -104,6 +104,33 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/// A Prometheus label value: backslash, double quote and line feed
+/// are the characters the text format requires escaped.
+std::string
+promLabelEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s)
+    {
+        switch (c)
+        {
+        case '\\':
+            out += "\\\\";
+            break;
+        case '"':
+            out += "\\\"";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        default:
+            out += c;
+        }
+    }
+    return out;
+}
+
 void
 jsonHistogram(std::ostringstream &os, const HistogramSnapshot &h)
 {
@@ -340,7 +367,8 @@ StatsRegistry::exportPrometheus(const ServiceStats &s)
            << "# TYPE herosign_tenant_latency_seconds histogram\n";
     for (const auto &[id, t] : s.tenants)
     {
-        const std::string tenant = "tenant=\"" + id + "\"";
+        const std::string tenant =
+            "tenant=\"" + promLabelEscape(id) + "\"";
         os << "herosign_tenant_signs_completed_total{" << tenant
            << "} " << t.signsCompleted << "\n";
         os << "herosign_tenant_verifies_total{" << tenant << "} "

@@ -1,5 +1,7 @@
 #include "service/verify_service.hh"
 
+#include <memory>
+
 #include "sphincs/thashx.hh"
 
 namespace herosign::service
@@ -99,15 +101,15 @@ VerifyService::process(std::span<Job *const> group)
     const size_t n = group.size();
     std::vector<ByteSpan> msgs(n);
     std::vector<ByteSpan> sigs(n);
+    const auto ok = std::make_unique<bool[]>(n);
     for (size_t i = 0; i < n; ++i) {
         msgs[i] = ByteSpan(group[i]->msg);
         sigs[i] = ByteSpan(group[i]->sig);
         tel_->stamp(group[i]->trace, telemetry::Stage::CryptoStart);
     }
-    std::vector<uint8_t> flags;
     try {
-        flags =
-            warm.scheme.verifyBatch(warm.ctx, msgs, sigs, warm.key->pk);
+        warm.scheme.verifyBatch(warm.ctx, msgs.data(), sigs.data(),
+                                warm.key->pk, ok.get(), n);
     } catch (...) {
         for (Job *job : group)
             plane_.fail(*job, std::current_exception());
@@ -117,8 +119,8 @@ VerifyService::process(std::span<Job *const> group)
     verifies_.fetch_add(n, std::memory_order_relaxed);
     tc.verifies.fetch_add(n, std::memory_order_relaxed);
     uint64_t group_rejects = 0;
-    for (uint8_t f : flags)
-        group_rejects += f ? 0 : 1;
+    for (size_t i = 0; i < n; ++i)
+        group_rejects += ok[i] ? 0 : 1;
     if (group_rejects > 0) {
         rejects_.fetch_add(group_rejects, std::memory_order_relaxed);
         tc.verifyRejects.fetch_add(group_rejects,
@@ -129,7 +131,7 @@ VerifyService::process(std::span<Job *const> group)
         // keeps the callback stage well-defined.
         tel_->stamp(group[i]->trace, telemetry::Stage::CryptoEnd);
         tel_->stamp(group[i]->trace, telemetry::Stage::GuardEnd);
-        return flags[i] != 0;
+        return ok[i];
     });
 }
 

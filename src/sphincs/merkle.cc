@@ -31,7 +31,7 @@ TreehashStream::begin(const Context &ctx, unsigned height,
 const uint8_t *
 TreehashStream::root() const
 {
-    if (!done())
+    if (next_ != total_)
         throw std::logic_error(
             "TreehashStream: root before all leaves absorbed");
     return stack_;

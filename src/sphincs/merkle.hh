@@ -52,16 +52,10 @@ class TreehashStream
                uint32_t idx_offset, uint8_t *auth_path,
                const Address &tree_adrs);
 
-    /** Leaves absorbed so far. */
-    uint32_t absorbed() const { return next_; }
-
-    /** Total leaves this tree expects (2^height). */
-    uint32_t total() const { return total_; }
-
-    /** True once every leaf has been absorbed. */
-    bool done() const { return next_ == total_; }
-
-    /** The n-byte root; valid only when done(). */
+    /**
+     * The n-byte root, once all 2^height leaves have been absorbed.
+     * @throws std::logic_error before that
+     */
     const uint8_t *root() const;
 
     /**

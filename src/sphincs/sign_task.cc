@@ -1,6 +1,7 @@
 #include "sphincs/sign_task.hh"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "sphincs/thash.hh"
@@ -93,10 +94,6 @@ ForsTreeReq
 SignTask::forsTreeReq(unsigned tree)
 {
     const Params &p = ctx_->params();
-    if (tree >= p.forsTrees || forsDone_)
-        throw std::logic_error(
-            "SignTask: FORS tree out of range or FORS already finished");
-    forsTaken_ |= uint64_t{1} << tree;
     ForsTreeReq req;
     req.adrs = forsBase_;
     req.tree = tree;
@@ -110,36 +107,28 @@ void
 SignTask::finishFors()
 {
     const Params &p = ctx_->params();
-    if (forsDone_ || forsTaken_ != maskBits(p.forsTrees))
-        throw std::logic_error("SignTask: FORS trees incomplete");
     Address pk_adrs = forsBase_;
     pk_adrs.setType(AddrType::ForsRoots);
     pk_adrs.setKeypair(layerLeaf_[0]);
     thash(root_, *ctx_, pk_adrs,
           ByteSpan(forsRoots_, static_cast<size_t>(p.forsTrees) * p.n));
-    forsDone_ = true;
 }
 
 void
-SignTask::beginLayer(unsigned layer)
+SignTask::beginLayer()
 {
     const Params &p = ctx_->params();
-    if (layer != curLayer_ || layer >= p.layers)
-        throw std::logic_error("SignTask: layers must run in order");
-    if (!forsDone_)
-        throw std::logic_error("SignTask: layer before FORS finished");
-
     // The serial dependency between layers: the chain lengths of this
     // layer's signing keypair come from the message root_ holds (the
     // FORS pk for layer 0, the previous layer's root above).
     chainLengths(lengths_, p, root_);
 
     Address tree_adrs;
-    tree_adrs.setLayer(layer);
-    tree_adrs.setTree(layerTree_[layer]);
+    tree_adrs.setLayer(curLayer_);
+    tree_adrs.setTree(layerTree_[curLayer_]);
     tree_adrs.setType(AddrType::Tree);
-    stream_.begin(*ctx_, p.treeHeight(), layerLeaf_[layer], 0,
-                  xmssSig(layer) + p.wotsSigBytes(), tree_adrs);
+    stream_.begin(*ctx_, p.treeHeight(), layerLeaf_[curLayer_], 0,
+                  xmssSig(curLayer_) + p.wotsSigBytes(), tree_adrs);
 }
 
 WotsLeafReq
@@ -192,14 +181,14 @@ SignTask::runGroup(SignTask *const tasks[], unsigned count)
     if (count > maxHashLanes)
         throw std::invalid_argument(
             "SignTask: group exceeds maxHashLanes");
-    const Context &ctx = tasks[0]->context();
+    const Context &ctx = *tasks[0]->ctx_;
     for (unsigned g = 1; g < count; ++g) {
         // One warm context per group is the invariant everything
         // else rests on: same key, same parameter set, same seeded
         // hash mid-state. Tasks built from a different Context —
         // even one with equal seeds — are rejected rather than
         // silently mixed.
-        if (&tasks[g]->context() != &ctx)
+        if (tasks[g]->ctx_ != &ctx)
             throw std::invalid_argument(
                 "SignTask: group must share one context "
                 "(one key and parameter set)");
@@ -230,7 +219,7 @@ SignTask::runGroup(SignTask *const tasks[], unsigned count)
         count);
     for (unsigned l = 0; l < p.layers; ++l) {
         for (unsigned g = 0; g < count; ++g) {
-            tasks[g]->beginLayer(l);
+            tasks[g]->beginLayer();
             streams[g] = &tasks[g]->treeStream();
         }
         for (uint32_t j0 = 0; j0 < leaves; j0 += maxHashLanes) {
@@ -251,6 +240,29 @@ SignTask::runGroup(SignTask *const tasks[], unsigned count)
         for (unsigned g = 0; g < count; ++g)
             tasks[g]->endLayer();
     }
+}
+
+void
+SignTask::signGroup(const Context &ctx, const SecretKey &sk,
+                    const ByteSpan msgs[], const ByteSpan opt_rands[],
+                    ByteVec sigs[], unsigned count)
+{
+    if (count == 0)
+        return;
+    if (count > maxHashLanes)
+        throw std::invalid_argument(
+            "SignTask: group exceeds maxHashLanes");
+    std::vector<std::unique_ptr<SignTask>> tasks;
+    tasks.reserve(count);
+    SignTask *ptrs[maxHashLanes];
+    for (unsigned i = 0; i < count; ++i) {
+        tasks.push_back(std::make_unique<SignTask>(
+            ctx, sk, msgs[i], opt_rands ? opt_rands[i] : ByteSpan{}));
+        ptrs[i] = tasks.back().get();
+    }
+    runGroup(ptrs, count);
+    for (unsigned i = 0; i < count; ++i)
+        sigs[i] = tasks[i]->takeSignature();
 }
 
 } // namespace herosign::sphincs

@@ -1,13 +1,12 @@
 /**
  * @file
- * SignTask: one SPHINCS+ signature as a resumable, step-wise
- * computation whose hash work is pooled externally, and runGroup(),
- * which makes every signature.
+ * SignTask: one in-flight SPHINCS+ signature, and the group runner
+ * that makes every signature.
  *
  * On parameter shapes whose subtrees are narrower than the lane width
  * (the -f sets have 2^(h/d) = 8..16 WOTS leaves per layer), one
  * signature alone cannot keep the lane engine fed across a layer. A
- * SignTask therefore exposes its remaining hash work as descriptors —
+ * SignTask therefore holds its remaining hash work as descriptors —
  * one sphincs::ForsTreeReq per FORS tree, one sphincs::WotsLeafReq per
  * hypertree leaf — plus a Merkle stream (sphincs::TreehashStream) per
  * layer, and runGroup() aggregates the descriptors of one or *several*
@@ -24,20 +23,13 @@
  *    FORS trees, and each layer's tree across the group) instead of
  *    one at a time.
  *
- * SphincsPlus::sign is a group of one; batch::LaneScheduler and the
- * SignService sign larger groups. The output does not depend on the
- * lane width or the group a signature rides in: every output byte is
- * the result of the same tweakable-hash calls, only pooled
- * differently. The spec oracle in tests/oracle checks that claim.
- *
- * Phase protocol (what runGroup() drives):
- *   ctor                      R, digest, indices, FORS secret values
- *   forsTreeReq(i), i < k     descriptors, built by forsTreeBatch()
- *   finishFors()              T_k root compression
- *   for each layer l:         beginLayer(l) -> feed wotsLeafReq()
- *                             leaves through treeStream() ->
- *                             endLayer()
- *   takeSignature()
+ * signGroup() is the group entry for plain messages; SphincsPlus::sign
+ * is a signGroup() of one, and the SignService builds one task per
+ * job so a member whose construction throws fails alone. The output
+ * does not depend on the lane width or the group a signature rides
+ * in: every output byte is the result of the same tweakable-hash
+ * calls, only pooled differently. The spec oracle in tests/oracle
+ * checks that claim.
  */
 
 #ifndef HEROSIGN_SPHINCS_SIGN_TASK_HH
@@ -54,7 +46,7 @@
 namespace herosign::sphincs
 {
 
-/** One in-flight signature, advanced phase by phase from outside. */
+/** One in-flight signature, signed by runGroup(). */
 class SignTask
 {
   public:
@@ -62,7 +54,7 @@ class SignTask
      * Bind the task to a message: computes R, the message digest and
      * every (tree, leaf) index, derives the k FORS secret values into
      * the signature buffer. After this the remaining work is exactly
-     * the leaf hashing and tree building the phases expose.
+     * the leaf hashing and tree building runGroup() pools.
      * @param ctx warm context built for @p sk: same parameter shape
      *        (Params::sameShape), pk_seed and sk_seed (checked, throws
      *        std::invalid_argument on mismatch; must outlive the task)
@@ -75,67 +67,10 @@ class SignTask
     SignTask(const SignTask &) = delete;
     SignTask &operator=(const SignTask &) = delete;
 
-    const Context &context() const { return *ctx_; }
-    const Params &params() const { return ctx_->params(); }
-
-    // --- FORS phase: k trees of 2^a leaves each -------------------
-
-    unsigned forsTreeCount() const { return params().forsTrees; }
-
     /**
-     * Descriptor for FORS tree @p tree (0..k-1, any order), to be
-     * built by forsTreeBatch(): its auth path lands in the signature,
-     * its root in the task.
-     * @throws std::logic_error out of range or after finishFors()
+     * Move the signature out once runGroup() has signed the task.
+     * @throws std::logic_error before that
      */
-    ForsTreeReq forsTreeReq(unsigned tree);
-
-    /**
-     * Compress the k roots into the FORS public key (layer-0 message)
-     * once forsTreeBatch() has built every tree.
-     * @throws std::logic_error when a tree's descriptor was never
-     *         taken, or on a second call
-     */
-    void finishFors();
-
-    // --- Hypertree phase: d layers of 2^(h/d) WOTS leaves ---------
-
-    unsigned layerCount() const { return params().layers; }
-    uint32_t leavesPerLayer() const { return params().treeLeaves(); }
-
-    /**
-     * Arm layer @p layer (in order, 0..d-1): derives the WOTS chain
-     * lengths from the running root — which is why layers are the
-     * serial spine the lockstep group advances along.
-     */
-    void beginLayer(unsigned layer);
-
-    /**
-     * Descriptor for WOTS leaf (keypair) @p j of the current layer.
-     * The leaf lands in an internal buffer (see layerLeaf()); the
-     * signing keypair's request additionally carries the signature
-     * capture, so no caller ever special-cases it.
-     */
-    WotsLeafReq wotsLeafReq(uint32_t j);
-
-    /** The produced leaf @p j of the current layer (after hashing). */
-    const uint8_t *layerLeaf(uint32_t j) const;
-
-    /** Collect the layer root; the last layer completes the task. */
-    void endLayer();
-
-    // --------------------------------------------------------------
-
-    /**
-     * The Merkle stream of the current layer; runGroup() feeds it via
-     * TreehashStream::absorbLockstep().
-     */
-    TreehashStream &treeStream() { return stream_; }
-
-    /** True once endLayer() ran for the last layer. */
-    bool finished() const { return finished_; }
-
-    /** Move the finished signature out; valid only when finished(). */
     ByteVec takeSignature();
 
     /**
@@ -147,7 +82,56 @@ class SignTask
      */
     static void runGroup(SignTask *const tasks[], unsigned count);
 
+    /**
+     * Sign @p count messages (0..maxHashLanes) under one key as one
+     * pooled group; count 0 does nothing. opt_rands[i] may be empty
+     * (deterministic signing); @p opt_rands itself may be nullptr for
+     * all-deterministic. sigs[i] receives the signature of msgs[i].
+     * @throws std::invalid_argument on an oversized group, or as the
+     *         constructor does
+     */
+    static void signGroup(const Context &ctx, const SecretKey &sk,
+                          const ByteSpan msgs[], const ByteSpan opt_rands[],
+                          ByteVec sigs[], unsigned count);
+
   private:
+    /**
+     * Descriptor for FORS tree @p tree (0..k-1), to be built by
+     * forsTreeBatch(): its auth path lands in the signature, its root
+     * in the task.
+     */
+    ForsTreeReq forsTreeReq(unsigned tree);
+
+    /**
+     * Compress the k roots into the FORS public key (layer-0 message)
+     * once forsTreeBatch() has built every tree.
+     */
+    void finishFors();
+
+    /**
+     * Arm the next hypertree layer: derives the WOTS chain lengths
+     * from the running root — which is why layers are the serial
+     * spine the lockstep group advances along.
+     */
+    void beginLayer();
+
+    /**
+     * Descriptor for WOTS leaf (keypair) @p j of the current layer.
+     * The leaf lands in an internal buffer (see layerLeaf()); the
+     * signing keypair's request additionally carries the signature
+     * capture, so runGroup() never special-cases it.
+     */
+    WotsLeafReq wotsLeafReq(uint32_t j);
+
+    /** The produced leaf @p j of the current layer (after hashing). */
+    const uint8_t *layerLeaf(uint32_t j) const;
+
+    /** Collect the layer root; the last layer completes the task. */
+    void endLayer();
+
+    /** The current layer's Merkle stream, fed by absorbLockstep(). */
+    TreehashStream &treeStream() { return stream_; }
+
     uint8_t *forsSigBlock(unsigned tree);
     uint8_t *xmssSig(unsigned layer);
 
@@ -163,8 +147,6 @@ class SignTask
     uint32_t lengths_[maxWotsLen];      ///< current layer chain lengths
     TreehashStream stream_;
     Address forsBase_;                  ///< ForsTree adrs, keypair set
-    uint64_t forsTaken_ = 0;            ///< bit i: tree i's descriptor
-    bool forsDone_ = false;
     unsigned curLayer_ = 0;
     bool finished_ = false;
 };

@@ -1,6 +1,5 @@
 #include "sphincs/sphincs.hh"
 
-#include <memory>
 #include <stdexcept>
 
 #include "common/zeroize.hh"
@@ -165,10 +164,12 @@ ByteVec
 SphincsPlus::sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                   ByteSpan opt_rand) const
 {
-    SignTask task(ctx, sk, msg, opt_rand);
-    SignTask *const group[1] = {&task};
-    SignTask::runGroup(group, 1);
-    return task.takeSignature();
+    if (!ctx.params().sameShape(params_))
+        throw std::invalid_argument(
+            "sign: context does not match the scheme's parameters");
+    ByteVec sig;
+    SignTask::signGroup(ctx, sk, &msg, &opt_rand, &sig, 1);
+    return sig;
 }
 
 bool
@@ -301,26 +302,6 @@ SphincsPlus::verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
 {
     Context ctx(params_, pk.pkSeed, {});
     verifyBatch(ctx, msgs, sigs, pk, ok, count);
-}
-
-std::vector<uint8_t>
-SphincsPlus::verifyBatch(const Context &ctx,
-                         const std::vector<ByteSpan> &msgs,
-                         const std::vector<ByteSpan> &sigs,
-                         const PublicKey &pk) const
-{
-    if (msgs.size() != sigs.size())
-        throw std::invalid_argument(
-            "verifyBatch: msgs/sigs size mismatch");
-    std::vector<uint8_t> out(msgs.size(), 0);
-    if (msgs.empty())
-        return out;
-    std::unique_ptr<bool[]> flags(new bool[msgs.size()]);
-    verifyBatch(ctx, msgs.data(), sigs.data(), pk, flags.get(),
-                msgs.size());
-    for (size_t i = 0; i < msgs.size(); ++i)
-        out[i] = flags[i] ? 1 : 0;
-    return out;
 }
 
 void

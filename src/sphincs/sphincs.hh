@@ -1,7 +1,7 @@
 /**
  * @file
  * SPHINCS+ top level: key generation, signing and verification. There
- * is one path per direction: sign() is a SignTask group of one
+ * is one path per direction: sign() is a SignTask::signGroup() of one
  * (sphincs/sign_task.hh), verify() is verifyBatch() over one
  * signature. The reference both are tested against is the spec oracle
  * in tests/oracle, which shares no code with them.
@@ -110,10 +110,11 @@ class SphincsPlus
                  ByteSpan opt_rand = {}) const;
 
     /**
-     * Sign @p msg reusing a warm context: a SignTask group of one.
-     * @p ctx must have been built for @p sk (same parameter shape,
-     * pk_seed and sk_seed) — checked, throws std::invalid_argument on
-     * mismatch. No per-sign Context construction.
+     * Sign @p msg reusing a warm context: SignTask::signGroup() with
+     * count 1. @p ctx must carry this scheme's parameter shape and be
+     * built for @p sk (same pk_seed and sk_seed) — checked, throws
+     * std::invalid_argument on mismatch. No per-sign Context
+     * construction.
      */
     ByteVec sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                  ByteSpan opt_rand = {}) const;
@@ -148,16 +149,6 @@ class SphincsPlus
     void verifyBatch(const Context &ctx, const ByteSpan msgs[],
                      const ByteSpan sigs[], const PublicKey &pk,
                      bool ok[], size_t count) const;
-
-    /**
-     * Vector convenience overload: out[i] is 1 when (msgs[i],
-     * sigs[i]) verifies. Throws std::invalid_argument on a msgs/sigs
-     * size mismatch.
-     */
-    std::vector<uint8_t> verifyBatch(const Context &ctx,
-                                     const std::vector<ByteSpan> &msgs,
-                                     const std::vector<ByteSpan> &sigs,
-                                     const PublicKey &pk) const;
 
     /**
      * Compute the hypertree root for a secret key (keygen internal):

@@ -50,9 +50,9 @@ void wotsChainSk(uint8_t *out, const Context &ctx, Address &adrs,
  * capturing the signature chain values on the way. The leaves of one
  * wotsLeafBatch() call may come from different layers, trees and
  * signatures — each request carries its own addressing — which is
- * what lets the cross-signature LaneScheduler keep the hash lanes
- * full on parameter shapes whose subtrees are narrower than the lane
- * width.
+ * what lets SignTask::runGroup() keep the hash lanes full across
+ * signatures on parameter shapes whose subtrees are narrower than the
+ * lane width.
  *
  * When @p sigOut is set, @p lengths must point at the wotsLen()
  * chain-length digits of the message this keypair signs; sigOut[i]

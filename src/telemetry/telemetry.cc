@@ -65,8 +65,6 @@ std::map<std::string, HistogramSnapshot>
 Telemetry::snapshotStages(Plane p) const
 {
     std::map<std::string, HistogramSnapshot> out;
-    if (!compiledIn())
-        return out;
     const PlaneSinks &sinks = plane(p);
     const std::string prefix = std::string(planeName(p)) + "_";
     for (unsigned m = 0; m < kStageMetricCount; ++m)

@@ -12,8 +12,8 @@
  *    deterministic 1-in-N sample of requests;
  *  - drop/sample counters for self-diagnosis.
  *
- * Disarmed cost: enabled() is one relaxed load (and a constexpr
- * false when compiled out), checked once per stamp/record call site.
+ * Disarmed cost: enabled() is one relaxed load, checked once per
+ * stamp/record call site.
  */
 
 #ifndef HEROSIGN_TELEMETRY_TELEMETRY_HH
@@ -32,8 +32,7 @@ namespace herosign::telemetry
 
 struct TelemetryConfig
 {
-    /// Runtime master switch; compile-time switch is
-    /// HEROSIGN_ENABLE_TELEMETRY (see trace.hh).
+    /// Runtime master switch (Telemetry::setEnabled flips it live).
     bool enabled = true;
     /// Record a full TraceSpan for every Nth completed request
     /// (per plane, deterministic). 0 disables span sampling.
@@ -63,12 +62,11 @@ class Telemetry
   public:
     explicit Telemetry(const TelemetryConfig &config = {});
 
-    /** True when telemetry is compiled in and runtime-enabled. */
+    /** True when telemetry is runtime-enabled. */
     bool
     enabled() const
     {
-        return compiledIn() &&
-               enabled_.load(std::memory_order_relaxed);
+        return enabled_.load(std::memory_order_relaxed);
     }
 
     void

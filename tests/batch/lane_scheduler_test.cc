@@ -1,26 +1,26 @@
 /**
  * @file
- * Cross-signature lane batching correctness: LaneScheduler groups
- * must produce the spec oracle's signatures byte for byte on every
- * Table I parameter set, at every lane width (1 / 8 / 16), for group
- * sizes from a lone request to a full group (including ragged ones
- * that don't divide the lane width), and mixed parameter-set groups
- * must reject cleanly.
+ * Cross-signature lane batching correctness: SignTask groups must
+ * produce the spec oracle's signatures byte for byte on every Table I
+ * parameter set, at every lane width (1 / 8 / 16), for group sizes
+ * from a lone request to a full group (including ragged ones that
+ * don't divide the lane width), and mixed parameter-set groups must
+ * reject cleanly.
  */
 
 #include <gtest/gtest.h>
 
 #include "../sphincs/oracle_ref.hh"
-#include "batch/lane_scheduler.hh"
 #include "batch_test_util.hh"
 #include "hash/sha256xN.hh"
 #include "sphincs/sign_task.hh"
 #include "sphincs/sphincs.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using namespace herosign::batchtest;
-using batch::LaneScheduler;
 using sphincs::Context;
+using sphincs::maxHashLanes;
 using sphincs::Params;
 using sphincs::SignTask;
 using sphincs::SphincsPlus;
@@ -51,7 +51,7 @@ TEST(LaneSchedulerTest, GroupsMatchOracleOnAllSetsWidthsAndSizes)
 
         // The spec oracle's signatures: the ground truth every pooled
         // configuration must reproduce bit for bit.
-        constexpr unsigned maxMsgs = LaneScheduler::maxGroup;
+        constexpr unsigned maxMsgs = maxHashLanes;
         std::vector<ByteVec> msgs;
         std::vector<ByteVec> rands;
         std::vector<ByteVec> want;
@@ -76,9 +76,8 @@ TEST(LaneSchedulerTest, GroupsMatchOracleOnAllSetsWidthsAndSizes)
                     rand_spans.emplace_back(rands[i]);
                 }
                 std::vector<ByteVec> got(group);
-                LaneScheduler::signGroup(ctx, kp.sk, msg_spans.data(),
-                                         rand_spans.data(), got.data(),
-                                         group);
+                SignTask::signGroup(ctx, kp.sk, msg_spans.data(),
+                                    rand_spans.data(), got.data(), group);
                 for (unsigned i = 0; i < group; ++i)
                     EXPECT_EQ(got[i], want[i])
                         << p.name << " width=" << width
@@ -144,16 +143,29 @@ TEST(LaneSchedulerTest, OversizedGroupRejects)
     const auto kp = scheme.keygenFromSeed(fixedSeed(p));
     Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
 
-    const unsigned count = LaneScheduler::maxGroup + 1;
+    const unsigned count = maxHashLanes + 1;
     std::vector<ByteVec> msgs = patternBatch(count);
     std::vector<ByteSpan> spans(msgs.begin(), msgs.end());
     std::vector<ByteVec> sigs(count);
-    EXPECT_THROW(LaneScheduler::signGroup(ctx, kp.sk, spans.data(),
-                                          nullptr, sigs.data(), count),
+    EXPECT_THROW(SignTask::signGroup(ctx, kp.sk, spans.data(), nullptr,
+                                     sigs.data(), count),
                  std::invalid_argument);
 }
 
-TEST(LaneSchedulerTest, TaskEnforcesPhaseOrder)
+TEST(LaneSchedulerTest, EmptyGroupDoesNothing)
+{
+    const Params p = miniParams();
+    SphincsPlus scheme(p);
+    const auto kp = scheme.keygenFromSeed(fixedSeed(p));
+    Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
+
+    // Neither input array is read and no output is written.
+    ByteVec sig = {0x5a};
+    SignTask::signGroup(ctx, kp.sk, nullptr, nullptr, &sig, 0);
+    EXPECT_EQ(sig, ByteVec{0x5a});
+}
+
+TEST(LaneSchedulerTest, TaskRejectsEarlyTakeAndBadOptRand)
 {
     const Params p = miniParams();
     SphincsPlus scheme(p);
@@ -162,23 +174,7 @@ TEST(LaneSchedulerTest, TaskEnforcesPhaseOrder)
 
     const ByteVec msg = patternMsg(32);
     SignTask task(ctx, kp.sk, msg);
-    EXPECT_THROW(task.beginLayer(0), std::logic_error);
-    EXPECT_THROW(task.forsTreeReq(p.forsTrees), std::logic_error);
     EXPECT_THROW(task.takeSignature(), std::logic_error);
-
-    // FORS cannot finish while a tree's descriptor is still untaken,
-    // and no descriptor is handed out after it finished.
-    std::vector<sphincs::ForsTreeReq> trees;
-    for (unsigned i = 0; i + 1 < p.forsTrees; ++i)
-        trees.push_back(task.forsTreeReq(i));
-    EXPECT_THROW(task.finishFors(), std::logic_error);
-    trees.push_back(task.forsTreeReq(p.forsTrees - 1));
-    sphincs::forsTreeBatch(ctx, trees.data(), trees.size());
-    task.finishFors();
-    EXPECT_THROW(task.finishFors(), std::logic_error);
-    EXPECT_THROW(task.forsTreeReq(0), std::logic_error);
-    EXPECT_THROW(task.beginLayer(1), std::logic_error);
-    task.beginLayer(0);
 
     EXPECT_THROW(SignTask(ctx, kp.sk, msg, patternMsg(p.n + 1)),
                  std::invalid_argument);
@@ -186,7 +182,7 @@ TEST(LaneSchedulerTest, TaskEnforcesPhaseOrder)
 
 TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
 {
-    // Every group size up to a full maxGroup on the cheap set, at
+    // Every group size up to a full maxHashLanes on the cheap set, at
     // every width, checked against the spec oracle. Its 8 FORS trees
     // of 16 leaves make some groups end in a ragged tree tail, split
     // down to single-leaf subtrees at width 16.
@@ -195,7 +191,7 @@ TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
     const auto kp = scheme.keygenFromSeed(fixedSeed(p));
     Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
 
-    const unsigned maxCount = LaneScheduler::maxGroup;
+    const unsigned maxCount = maxHashLanes;
     std::vector<ByteVec> msgs = patternBatch(maxCount);
     std::vector<ByteSpan> spans(msgs.begin(), msgs.end());
     std::vector<ByteVec> want;
@@ -205,8 +201,8 @@ TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
         ScopedWidth w(width);
         for (unsigned count = 1; count <= maxCount; ++count) {
             std::vector<ByteVec> sigs(count);
-            LaneScheduler::signGroup(ctx, kp.sk, spans.data(), nullptr,
-                                     sigs.data(), count);
+            SignTask::signGroup(ctx, kp.sk, spans.data(), nullptr,
+                                sigs.data(), count);
             for (unsigned i = 0; i < count; ++i)
                 EXPECT_EQ(sigs[i], want[i]) << "width=" << width
                                             << " group=" << count

@@ -141,8 +141,8 @@ TEST_F(ServiceRobustnessTest, GuardRecoversWithEveryRequestAlone)
 {
     if (laneDispatch().backend == LaneBackend::Scalar)
         GTEST_SKIP() << "needs active SIMD dispatch";
-    // signCoalesce 1: every request signs as a LaneScheduler group of
-    // one, which the coalescing stats do not count.
+    // signCoalesce 1: every request signs as a SignTask group of one,
+    // which the coalescing stats do not count.
     const ServiceStats st = signUnderSimdLaneFaults(1);
     EXPECT_EQ(st.signLaneGroups, 0u);
     EXPECT_EQ(st.signCrossSignJobs, 0u);

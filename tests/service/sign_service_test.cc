@@ -17,7 +17,6 @@
 
 #include "../batch/batch_test_util.hh"
 #include "../sphincs/oracle_ref.hh"
-#include "batch/lane_scheduler.hh"
 #include "common/hex.hh"
 #include "service/sign_service.hh"
 #include "service/verify_service.hh"
@@ -386,8 +385,7 @@ TEST(SignService, AllZeroPoolKnobsClampAndDefaultWindowsHold)
 
     SignService dsign(t.store, ServiceConfig{});
     VerifyService dverify(t.store, ServiceConfig{});
-    EXPECT_EQ(dsign.coalesceWindow(),
-              batch::LaneScheduler::preferredGroup());
+    EXPECT_EQ(dsign.coalesceWindow(), sphincs::hashLaneWidth());
     EXPECT_EQ(dverify.coalesceWindow(), 4 * sphincs::hashLaneWidth());
 }
 

@@ -55,7 +55,7 @@ streamTree(uint8_t *root, uint8_t *auth, const Context &ctx,
     TreehashStream *const streams[1] = {&stream};
     uint8_t leaf[maxN];
     const uint8_t *leaves[1] = {leaf};
-    for (uint32_t i = 0; i < stream.total(); ++i) {
+    for (uint32_t i = 0; i < (1u << height); ++i) {
         syntheticLeaf(leaf, ctx, idx_offset + i);
         TreehashStream::absorbLockstep(streams, leaves, 1);
     }
@@ -172,8 +172,9 @@ TEST(Treehash, StreamRejectsMisuse)
                  std::invalid_argument);
     TreehashStream *lone[1] = {&a};
     TreehashStream::absorbLockstep(lone, leaves, 1);
+    EXPECT_THROW(a.root(), std::logic_error);
     TreehashStream::absorbLockstep(lone, leaves, 1);
-    EXPECT_TRUE(a.done());
+    EXPECT_NO_THROW(a.root());
     EXPECT_THROW(TreehashStream::absorbLockstep(lone, leaves, 1),
                  std::invalid_argument);
 }

@@ -5,9 +5,10 @@
  * production signer must match it byte for byte at lane widths 1, 8
  * and 16 on the Table I sets, the mini set and a custom set: keygen
  * and lone signatures (SphincsPlus::sign, a SignTask group of one)
- * everywhere, ragged and full LaneScheduler groups on the two small
- * sets. lane_scheduler_test holds the Table I sets' groups to the
- * oracle.
+ * everywhere, ragged and full SignTask::signGroup groups on the two
+ * small sets. lane_scheduler_test holds the Table I sets' groups to
+ * the oracle. The one test of batch::LaneScheduler, the alias the
+ * serving benchmark still calls, is here too.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "batch/lane_scheduler.hh"
 #include "golden_vectors.hh"
 #include "oracle_ref.hh"
+#include "sphincs/sign_task.hh"
 
 using namespace herosign;
 using namespace herosign::golden;
@@ -141,9 +143,9 @@ TEST_P(SpecOracleDiff, ProductionMatchesOracleAtEveryWidth)
                 rand_spans.emplace_back(rands[i]);
             }
             std::vector<ByteVec> got(group);
-            batch::LaneScheduler::signGroup(ctx, kp.sk, msg_spans.data(),
-                                            rand_spans.data(), got.data(),
-                                            group);
+            sphincs::SignTask::signGroup(ctx, kp.sk, msg_spans.data(),
+                                         rand_spans.data(), got.data(),
+                                         group);
             for (unsigned i = 0; i < group; ++i)
                 EXPECT_EQ(got[i], want[i])
                     << p.name << " width " << width << " group " << group
@@ -166,3 +168,27 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+// batch::LaneScheduler stays only for the serving benchmark; this is
+// the one test that still compiles it. A ragged group through its
+// signGroup must equal the oracle, and preferredGroup() is the lane
+// width.
+TEST(LaneSchedulerAlias, ForwardsToSignGroup)
+{
+    const Params p = batchtest::miniParams();
+    const SphincsPlus scheme(p);
+    const auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(p));
+    const Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
+
+    constexpr unsigned group = 5;
+    const std::vector<ByteVec> msgs = batchtest::patternBatch(group);
+    const std::vector<ByteSpan> spans(msgs.begin(), msgs.end());
+    std::vector<ByteVec> got(group);
+    batch::LaneScheduler::signGroup(ctx, kp.sk, spans.data(), nullptr,
+                                    got.data(), group);
+    for (unsigned i = 0; i < group; ++i)
+        EXPECT_EQ(got[i], oracle::oracleSign(kp.sk, msgs[i])) << i;
+
+    EXPECT_EQ(batch::LaneScheduler::preferredGroup(),
+              sphincs::hashLaneWidth());
+}

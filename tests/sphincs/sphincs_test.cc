@@ -233,3 +233,28 @@ TEST(Sphincs, SignRejectsBadOptRand)
     EXPECT_THROW(scheme.sign(msg, kp.sk, bad_rand),
                  std::invalid_argument);
 }
+
+// A warm context of another parameter shape must not sign under this
+// scheme, even when it matches the key: the signature would take the
+// context's layout, which this scheme's verify() rejects.
+TEST(Sphincs, SignRejectsContextOfOtherParameters)
+{
+    Params small;
+    small.name = "custom-16-6";
+    small.n = 16;
+    small.fullHeight = 6;
+    small.layers = 2;
+    small.forsHeight = 4;
+    small.forsTrees = 8;
+    small.wotsW = 16;
+    small.validate();
+    const KeyPair kp =
+        SphincsPlus(small).keygenFromSeed(ByteVec(3 * small.n, 0x21));
+    const Context ctx(small, kp.sk.pkSeed, kp.sk.skSeed);
+
+    const SphincsPlus scheme(Params::sphincs128f());
+    const ByteVec msg(16, 0x42);
+    EXPECT_THROW(scheme.sign(ctx, msg, kp.sk), std::invalid_argument);
+    EXPECT_EQ(SphincsPlus(small).sign(ctx, msg, kp.sk).size(),
+              small.sigBytes());
+}

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,8 +104,6 @@ countOccurrences(const std::string &hay, const std::string &needle)
 
 TEST(Export, LiveFabricSnapshotCarriesStageHistograms)
 {
-    if (!telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     Fabric fx;
     const ServiceStats snap = runFabric(fx);
     ASSERT_EQ(snap.signsCompleted, 12u);
@@ -169,12 +168,9 @@ TEST(Export, JsonIsSingleLineWithExpectedSections)
          {"\"counters\"", "\"gauges\"", "\"cache\"", "\"tenants\"",
           "\"signs_completed\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
-    if (telemetry::compiledIn()) {
-        EXPECT_NE(json.find("\"stages\""), std::string::npos);
-        EXPECT_NE(json.find("\"sign_end_to_end\""),
-                  std::string::npos);
-        EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
-    }
+    EXPECT_NE(json.find("\"stages\""), std::string::npos);
+    EXPECT_NE(json.find("\"sign_end_to_end\""), std::string::npos);
+    EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
 }
 
 TEST(Export, PrometheusOutputPassesFormatChecker)
@@ -196,20 +192,17 @@ TEST(Export, PrometheusOutputPassesFormatChecker)
     EXPECT_NE(prom.find("herosign_signs_completed_total"),
               std::string::npos);
     EXPECT_NE(prom.find("herosign_queue_depth"), std::string::npos);
-    if (telemetry::compiledIn()) {
-        EXPECT_NE(prom.find("herosign_stage_latency_seconds_bucket"),
-                  std::string::npos);
-        EXPECT_NE(prom.find("plane=\"sign\""), std::string::npos);
-        EXPECT_NE(prom.find("stage=\"end_to_end\""),
-                  std::string::npos);
-        EXPECT_NE(prom.find("herosign_tenant_latency_seconds"),
-                  std::string::npos);
-        // One +Inf bucket per emitted histogram series (each series
-        // also emits exactly one _count sample).
-        EXPECT_GT(countOccurrences(prom, "le=\"+Inf\""), 0u);
-        EXPECT_EQ(countOccurrences(prom, "le=\"+Inf\""),
-                  countOccurrences(prom, "_count{"));
-    }
+    EXPECT_NE(prom.find("herosign_stage_latency_seconds_bucket"),
+              std::string::npos);
+    EXPECT_NE(prom.find("plane=\"sign\""), std::string::npos);
+    EXPECT_NE(prom.find("stage=\"end_to_end\""), std::string::npos);
+    EXPECT_NE(prom.find("herosign_tenant_latency_seconds"),
+              std::string::npos);
+    // One +Inf bucket per emitted histogram series (each series also
+    // emits exactly one _count sample).
+    EXPECT_GT(countOccurrences(prom, "le=\"+Inf\""), 0u);
+    EXPECT_EQ(countOccurrences(prom, "le=\"+Inf\""),
+              countOccurrences(prom, "_count{"));
 }
 
 TEST(Export, PromCheckRejectsMalformedExposition)
@@ -240,13 +233,58 @@ TEST(Export, PromCheckRejectsMalformedExposition)
     EXPECT_FALSE(telemetry::promCheck("# TYPE 9bad counter\n").ok);
     EXPECT_FALSE(telemetry::promCheck("# TYPE m counter\nm xyz\n").ok);
 
-    // A tiny valid document is accepted.
+    // A raw quote or line feed inside a label value, and an escape
+    // the format does not define.
+    EXPECT_FALSE(
+        telemetry::promCheck("# TYPE m counter\nm{t=\"a\"b\"} 1\n").ok);
+    EXPECT_FALSE(
+        telemetry::promCheck("# TYPE m counter\nm{t=\"a\nb\"} 1\n").ok);
+    EXPECT_FALSE(
+        telemetry::promCheck("# TYPE m counter\nm{t=\"a\\tb\"} 1\n").ok);
+
+    // A tiny valid document is accepted, escapes included.
     auto ok = telemetry::promCheck(
         "# HELP m total things\n"
         "# TYPE m counter\n"
-        "m{tenant=\"t0\"} 42\n");
+        "m{tenant=\"t0\"} 42\n"
+        "m{tenant=\"a\\\\b\\\"c\\nd\"} 1\n");
     EXPECT_TRUE(ok.ok);
-    EXPECT_EQ(ok.samples, 1u);
+    EXPECT_EQ(ok.samples, 2u);
+    EXPECT_EQ(ok.labelValues["tenant"],
+              (std::set<std::string>{"t0", "a\\b\"c\nd"}));
+}
+
+// KeyStore accepts any tenant id, so the exposition must escape what
+// the text format reserves in label values: the ids come back intact
+// from a checker that unescapes them.
+TEST(Export, PrometheusEscapesTenantLabelValues)
+{
+    const std::vector<std::string> ids = {"acme\"x\\y", "line\nbreak"};
+    const sphincs::Params p = miniParams();
+    const sphincs::SphincsPlus scheme(p);
+    KeyStore store;
+    for (unsigned i = 0; i < ids.size(); ++i)
+        store.addKey(ids[i], scheme.keygenFromSeed(batchtest::fixedSeed(
+                                 p, static_cast<uint8_t>(i))));
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    SignService sign_svc(store, cfg);
+    for (const std::string &id : ids)
+        sign_svc.submit(id, signReq(patternMsg(16))).get();
+    sign_svc.drain();
+
+    const std::string prom =
+        StatsRegistry::exportPrometheus(sign_svc.stats());
+    const auto check = telemetry::promCheck(prom);
+    EXPECT_TRUE(check.ok) << [&] {
+        std::string all;
+        for (const auto &e : check.errors)
+            all += e + "\n";
+        return all;
+    }();
+    const std::set<std::string> tenants(ids.begin(), ids.end());
+    ASSERT_TRUE(check.labelValues.count("tenant"));
+    EXPECT_EQ(check.labelValues.at("tenant"), tenants);
 }
 
 TEST(Export, MetricsReporterAppendsJsonLines)

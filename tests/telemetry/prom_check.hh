@@ -7,7 +7,10 @@
  * Checks the subset of the format the exporter emits:
  *  - every non-comment line is `name{labels} value` or `name value`;
  *  - metric names and label keys are legal identifiers;
- *  - label values are double-quoted with no raw quotes inside;
+ *  - label values are double-quoted; inside them a backslash, a
+ *    double quote and a line feed appear only as the escapes \\,
+ *    \" and \n, so a raw quote (or a line the exposition broke in
+ *    two) fails;
  *  - every sample's base name was declared by a preceding # TYPE;
  *  - histogram series carry _bucket/_sum/_count suffixes, buckets
  *    are cumulative (non-decreasing by `le`) and end at le="+Inf"
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +38,8 @@ struct PromCheckResult
     std::vector<std::string> errors;
     size_t samples = 0;
     size_t typeDecls = 0;
+    /// Every label value seen, unescaped, by label key.
+    std::map<std::string, std::set<std::string>> labelValues;
 
     void
     fail(size_t lineNo, const std::string &why)
@@ -73,6 +79,75 @@ validValue(const std::string &s)
     std::string copy = s;
     std::strtod(copy.c_str(), &end);
     return end != nullptr && *end == '\0';
+}
+
+/**
+ * Parse the label set that starts at line[pos] (just past the '{')
+ * into key/value pairs, unescaping the values. On success @p pos is
+ * just past the closing '}'.
+ */
+inline bool
+parseLabels(const std::string &line, size_t &pos,
+            std::vector<std::pair<std::string, std::string>> &out,
+            std::string &why)
+{
+    while (pos < line.size() && line[pos] != '}')
+    {
+        const size_t eq = line.find('=', pos);
+        if (eq == std::string::npos || eq + 1 >= line.size() ||
+            line[eq + 1] != '"')
+        {
+            why = "malformed label set";
+            return false;
+        }
+        const std::string key = line.substr(pos, eq - pos);
+        if (!validName(key))
+        {
+            why = "malformed label: " + key;
+            return false;
+        }
+        std::string val;
+        size_t i = eq + 2;
+        for (; i < line.size() && line[i] != '"'; ++i)
+        {
+            if (line[i] != '\\')
+            {
+                val += line[i];
+                continue;
+            }
+            const char esc = i + 1 < line.size() ? line[++i] : '\0';
+            if (esc == '\\' || esc == '"')
+                val += esc;
+            else if (esc == 'n')
+                val += '\n';
+            else
+            {
+                why = "bad escape in label " + key;
+                return false;
+            }
+        }
+        if (i >= line.size())
+        {
+            why = "unterminated label value: " + key;
+            return false;
+        }
+        out.emplace_back(key, std::move(val));
+        pos = i + 1;
+        if (pos < line.size() && line[pos] == ',')
+            ++pos;
+        else if (pos >= line.size() || line[pos] != '}')
+        {
+            why = "malformed label set after " + key;
+            return false;
+        }
+    }
+    if (pos >= line.size())
+    {
+        why = "unterminated label set";
+        return false;
+    }
+    ++pos;
+    return true;
 }
 
 /// Base metric name of a sample: strips a histogram suffix.
@@ -165,21 +240,18 @@ promCheck(const std::string &text)
             result.fail(lineNo, "bad metric name: " + name);
             continue;
         }
-        std::string labels;
-        size_t valueStart;
+        std::vector<std::pair<std::string, std::string>> labels;
+        size_t valueStart = nameEnd;
         if (brace != std::string::npos)
         {
-            size_t close = line.find('}', brace);
-            if (close == std::string::npos)
+            std::string why;
+            valueStart = brace + 1;
+            if (!parseLabels(line, valueStart, labels, why))
             {
-                result.fail(lineNo, "unterminated label set");
+                result.fail(lineNo, why + ": " + line);
                 continue;
             }
-            labels = line.substr(brace + 1, close - brace - 1);
-            valueStart = close + 1;
         }
-        else
-            valueStart = nameEnd;
         while (valueStart < line.size() && line[valueStart] == ' ')
             ++valueStart;
         const std::string value = line.substr(valueStart);
@@ -189,32 +261,11 @@ promCheck(const std::string &text)
             continue;
         }
 
-        // Label pairs: key="value",...
         std::string le;
         std::string otherLabels;
-        size_t pos = 0;
-        bool labelsOk = true;
-        while (pos < labels.size())
+        for (const auto &[key, val] : labels)
         {
-            size_t eq = labels.find('=', pos);
-            if (eq == std::string::npos ||
-                eq + 1 >= labels.size() || labels[eq + 1] != '"')
-            {
-                result.fail(lineNo, "malformed label set: {" +
-                                        labels + "}");
-                labelsOk = false;
-                break;
-            }
-            const std::string key = labels.substr(pos, eq - pos);
-            size_t endQuote = labels.find('"', eq + 2);
-            if (!validName(key) || endQuote == std::string::npos)
-            {
-                result.fail(lineNo, "malformed label: " + key);
-                labelsOk = false;
-                break;
-            }
-            const std::string val =
-                labels.substr(eq + 2, endQuote - eq - 2);
+            result.labelValues[key].insert(val);
             if (key == "le")
                 le = val;
             else
@@ -223,12 +274,7 @@ promCheck(const std::string &text)
                     otherLabels += ',';
                 otherLabels += key + "=" + val;
             }
-            pos = endQuote + 1;
-            if (pos < labels.size() && labels[pos] == ',')
-                ++pos;
         }
-        if (!labelsOk)
-            continue;
 
         const std::string base = baseName(name);
         auto typeIt = types.find(base);
