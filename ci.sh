@@ -41,6 +41,15 @@
 #                                        # each BENCHMARK.json workload
 #                                        # briefly and traced; fails on
 #                                        # any nonzero exit
+#   PERF_GATE=<git-ref> ./ci.sh          # perf gate: time the working
+#                                        # tree against <git-ref> in 10
+#                                        # alternated perfbench pairs
+#                                        # per workload; fails on a
+#                                        # metric worse by more than its
+#                                        # bound and the base's IQR, or
+#                                        # on any failed run (see
+#                                        # scripts/perf_gate.py for the
+#                                        # rule and its other flags)
 #   ./ci.sh --format-check               # clang-format gate only
 set -euo pipefail
 
@@ -82,6 +91,12 @@ CTEST_REGEX=${CTEST_REGEX:-}
 FAULT_MATRIX=${FAULT_MATRIX:-}
 METRICS_SOAK=${METRICS_SOAK:-}
 PERFBENCH_SMOKE=${PERFBENCH_SMOKE:-}
+PERF_GATE=${PERF_GATE:-}
+
+if [[ -n "$PERF_GATE" ]]; then
+    # Builds both sides' perfbench on its own; nothing else.
+    exec python3 scripts/perf_gate.py --base "$PERF_GATE"
+fi
 
 if [[ -n "$PERFBENCH_SMOKE" ]]; then
     # perfbench builds its own Release tree. Every run verifies each

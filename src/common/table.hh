@@ -40,14 +40,6 @@ class TextTable
     /** Number of data rows (separators excluded). */
     size_t rowCount() const;
 
-    const std::vector<std::string> &headers() const { return headers_; }
-
-    /** Raw rows; separators are encoded as empty vectors. */
-    const std::vector<std::vector<std::string>> &rawRows() const
-    {
-        return rows_;
-    }
-
   private:
     std::vector<std::string> headers_;
     // Separator rows are encoded as empty vectors.

@@ -38,12 +38,6 @@ class ServiceOverload : public std::runtime_error
     {
     }
 
-    /** Untyped overloads default to the sign-plane cap. */
-    explicit ServiceOverload(const std::string &what)
-        : std::runtime_error(what), kind_(Kind::SignCap)
-    {
-    }
-
     Kind kind() const { return kind_; }
 
   private:
@@ -65,9 +59,8 @@ class ServiceOverload : public std::runtime_error
  *    signature's compressions (192f: 9.8k vs 190.5k), so two workers
  *    keep up with mixed traffic and leave most cores to the sign
  *    plane.
- *  - Sign window = the lane width (signCoalesce = 0, resolved to
- *    sphincs::hashLaneWidth()): one coalesced group fills every hash
- *    lane once.
+ *  - Sign window = the lane width (sphincs::hashLaneWidth(), fixed):
+ *    one coalesced group fills every hash lane once.
  *  - Verify window = 4 x the lane width (fixed): one drained chunk
  *    fills whole lane groups for several tenants at once without
  *    starving sibling workers.
@@ -93,11 +86,6 @@ class ServiceOverload : public std::runtime_error
 struct ServiceConfig
 {
     unsigned workers = 4;  ///< sign worker threads (clamped to >= 1)
-    /// Queued sign jobs one worker coalesces per pass; same-context
-    /// (same-tenant) runs sign as one cross-signature lane group.
-    /// 0 = auto (the dispatched hash-lane width); 1 disables
-    /// coalescing.
-    unsigned signCoalesce = 0;
     unsigned verifyWorkers = 2; ///< verify worker threads (>= 1)
     size_t contextCacheCapacity = 64; ///< warm per-key contexts kept
     /// Reject sign submits once this many sign jobs are pending

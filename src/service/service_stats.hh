@@ -295,6 +295,8 @@ class StatsRegistry
      * Render @p snap (typically the mergedWith() of a fabric's
      * per-service snapshots) as one line of JSON: counters, gauges,
      * cache, per-stage histogram percentiles and per-tenant stats.
+     * Latency keys end in "_ns" ("p50_ns"); the group_size and
+     * lane_fill_pct histograms are unit-less ("p50").
      */
     static std::string exportJson(const ServiceStats &snap);
 

@@ -23,9 +23,10 @@ signShape(const ServiceConfig &config)
     requireNativeVariant(config.variant); // before the plane starts
     PlaneShape shape;
     shape.workers = config.workers;
-    shape.window = config.signCoalesce == 0 ? sphincs::hashLaneWidth()
-                                            : config.signCoalesce;
-    shape.maxGroup = maxHashLanes;
+    // A pass is at most one group, and process() holds a group in
+    // arrays of maxHashLanes: hashLaneWidth() never exceeds
+    // maxSha256Lanes, which maxHashLanes equals.
+    shape.window = sphincs::hashLaneWidth();
     return shape;
 }
 

@@ -131,15 +131,22 @@ promLabelEscape(const std::string &s)
     return out;
 }
 
+/**
+ * One histogram as a JSON object. @p unit suffixes every value key:
+ * "_ns" for latencies, "" for the unit-less group-shape histograms.
+ */
 void
-jsonHistogram(std::ostringstream &os, const HistogramSnapshot &h)
+jsonHistogram(std::ostringstream &os, const HistogramSnapshot &h,
+              const char *unit = "_ns")
 {
-    os << "{\"count\":" << h.count << ",\"min_ns\":" << h.min
-       << ",\"max_ns\":" << h.max << ",\"mean_ns\":" << h.mean()
-       << ",\"p50_ns\":" << h.percentile(0.50)
-       << ",\"p90_ns\":" << h.percentile(0.90)
-       << ",\"p99_ns\":" << h.percentile(0.99)
-       << ",\"p999_ns\":" << h.percentile(0.999) << "}";
+    const auto key = [unit](const char *name) {
+        return std::string(",\"") + name + unit + "\":";
+    };
+    os << "{\"count\":" << h.count << key("min") << h.min << key("max")
+       << h.max << key("mean") << h.mean() << key("p50")
+       << h.percentile(0.50) << key("p90") << h.percentile(0.90)
+       << key("p99") << h.percentile(0.99) << key("p999")
+       << h.percentile(0.999) << "}";
 }
 
 /**
@@ -241,9 +248,12 @@ StatsRegistry::exportJson(const ServiceStats &s)
     first = true;
     for (const auto &[key, h] : s.stages)
     {
+        std::string plane, metric;
+        const bool latency = !splitStageKey(key, plane, metric) ||
+                             isLatencyMetric(metric);
         os << (first ? "" : ",") << "\"" << jsonEscape(key)
            << "\":";
-        jsonHistogram(os, h);
+        jsonHistogram(os, h, latency ? "_ns" : "");
         first = false;
     }
     os << "},\"tenants\":{";

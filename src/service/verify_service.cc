@@ -22,8 +22,6 @@ verifyShape(const ServiceConfig &config)
     PlaneShape shape;
     shape.workers = config.verifyWorkers;
     shape.window = kCoalesceLaneFactor * sphincs::hashLaneWidth();
-    // One verifyBatch per warm context in a pass, however large.
-    shape.maxGroup = shape.window;
     return shape;
 }
 

@@ -86,9 +86,10 @@ struct PlaneJob
 /** Pool and coalescing shape of one plane. */
 struct PlaneShape
 {
-    unsigned workers = 1;  ///< worker threads (clamped to >= 1)
-    unsigned window = 1;   ///< jobs one worker takes per pass (>= 1)
-    unsigned maxGroup = 1; ///< largest group given to process() (>= 1)
+    unsigned workers = 1; ///< worker threads (clamped to >= 1)
+    /// Jobs one worker takes per pass (>= 1), so also the largest
+    /// group given to process().
+    unsigned window = 1;
 };
 
 /** One reading of a plane's counters and gauges. */
@@ -129,8 +130,7 @@ class WorkPlane
               const PlaneShape &shape, telemetry::Telemetry &tel,
               AdmissionController &admission)
         : owner_(owner), plane_(plane), name_(name), tel_(tel),
-          admission_(admission), window_(std::max(shape.window, 1u)),
-          maxGroup_(std::max(shape.maxGroup, 1u))
+          admission_(admission), window_(std::max(shape.window, 1u))
     {
         const unsigned n = std::max(shape.workers, 1u);
         workers_.reserve(n);
@@ -407,7 +407,7 @@ class WorkPlane
         std::vector<Job *> live, group;
         pass.reserve(window_);
         live.reserve(window_);
-        group.reserve(std::min(window_, maxGroup_));
+        group.reserve(window_);
         while (takePass(pass)) {
             for (Job &job : pass)
                 tel_.stamp(job.trace, telemetry::Stage::Dequeue);
@@ -465,8 +465,7 @@ class WorkPlane
                 continue;
             const WarmContext *ctx = live[i]->warm.get();
             group.clear();
-            for (size_t j = i;
-                 j < live.size() && group.size() < maxGroup_; ++j) {
+            for (size_t j = i; j < live.size(); ++j) {
                 if (live[j] && live[j]->warm.get() == ctx) {
                     group.push_back(live[j]);
                     live[j] = nullptr;
@@ -540,7 +539,6 @@ class WorkPlane
     telemetry::Telemetry &tel_;
     AdmissionController &admission_;
     const unsigned window_;
-    const unsigned maxGroup_;
 
     std::atomic<bool> closing_{false};
     std::atomic<uint64_t> submitted_{0};

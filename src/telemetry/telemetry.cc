@@ -1,5 +1,7 @@
 #include "telemetry.hh"
 
+#include <algorithm>
+
 namespace herosign::telemetry
 {
 
@@ -10,14 +12,21 @@ Telemetry::Telemetry(const TelemetryConfig &config)
 }
 
 void
-Telemetry::recordGroup(Plane p, size_t size, size_t preferred)
+Telemetry::recordGroup(Plane p, size_t size, size_t width)
 {
     if (!enabled())
         return;
     PlaneSinks &sinks = plane(p);
     sinks.groupSize.record(size);
-    if (preferred != 0)
-        sinks.laneFillPct.record(size * 100 / preferred);
+    // A group wider than one lane group runs as ceil(size / width) of
+    // them (a verify pass holds up to four), so fill is charged
+    // against all the lanes it issues and never exceeds 100.
+    if (width != 0)
+    {
+        const size_t groups =
+            std::max<size_t>((size + width - 1) / width, 1);
+        sinks.laneFillPct.record(size * 100 / (groups * width));
+    }
 }
 
 void

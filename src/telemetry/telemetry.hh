@@ -86,11 +86,11 @@ class Telemetry
     }
 
     /**
-     * Record a sealed coalesce/lockstep group: its size and its fill
-     * ratio (percent of @p preferred, the lane width the scheduler
-     * aims for).
+     * Record a sealed coalesce/lockstep group: its size and its lane
+     * fill, the percent of the lanes its ceil(size / @p width) lane
+     * groups issue that carry a member (at most 100).
      */
-    void recordGroup(Plane plane, size_t size, size_t preferred);
+    void recordGroup(Plane plane, size_t size, size_t width);
 
     /**
      * Fold a finished request into the histograms and (1-in-N)

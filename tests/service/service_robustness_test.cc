@@ -70,26 +70,30 @@ struct ServiceRobustnessTest : ::testing::Test
 
     /**
      * Sign four requests with every SIMD-produced fused batch
-     * corrupted and the guard on; coalesce is
-     * ServiceConfig::signCoalesce.
+     * corrupted and the guard on. With @p one_at_a_time each request
+     * is awaited before the next is submitted, so the one worker's
+     * every pass holds a single job.
      */
     ServiceStats
-    signUnderSimdLaneFaults(unsigned coalesce)
+    signUnderSimdLaneFaults(bool one_at_a_time)
     {
         FaultPlan plan;
         plan.rule(FaultPoint::SimdLane).active = true;
         FaultInjector::instance().arm(plan);
 
-        ServiceConfig cfg = smallConfig(true);
-        cfg.signCoalesce = coalesce;
-        SignService svc(store, cfg);
+        SignService svc(store, smallConfig(true));
         std::vector<std::future<ByteVec>> futs;
-        for (unsigned i = 0; i < 4; ++i)
+        std::vector<ByteVec> sigs;
+        for (unsigned i = 0; i < 4; ++i) {
             futs.push_back(
                 svc.submit("t0", signReq(patternMsg(40, i))));
-        std::vector<ByteVec> sigs;
-        for (auto &f : futs)
-            sigs.push_back(f.get());
+            if (one_at_a_time)
+                sigs.push_back(futs.back().get());
+        }
+        if (!one_at_a_time) {
+            for (auto &f : futs)
+                sigs.push_back(f.get());
+        }
         svc.drain();
         FaultInjector::instance().disarm();
 
@@ -134,16 +138,16 @@ TEST_F(ServiceRobustnessTest, GuardRecoversAndKeepsLedgerClean)
 {
     if (laneDispatch().backend == LaneBackend::Scalar)
         GTEST_SKIP() << "needs active SIMD dispatch";
-    signUnderSimdLaneFaults(0);
+    signUnderSimdLaneFaults(false);
 }
 
 TEST_F(ServiceRobustnessTest, GuardRecoversWithEveryRequestAlone)
 {
     if (laneDispatch().backend == LaneBackend::Scalar)
         GTEST_SKIP() << "needs active SIMD dispatch";
-    // signCoalesce 1: every request signs as a SignTask group of one,
-    // which the coalescing stats do not count.
-    const ServiceStats st = signUnderSimdLaneFaults(1);
+    // Every request signs as a SignTask group of one, which the
+    // coalescing stats do not count.
+    const ServiceStats st = signUnderSimdLaneFaults(true);
     EXPECT_EQ(st.signLaneGroups, 0u);
     EXPECT_EQ(st.signCrossSignJobs, 0u);
 }

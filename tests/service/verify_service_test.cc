@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "../batch/batch_test_util.hh"
+#include "common/fault.hh"
 #include "service/sign_service.hh"
 #include "service/verify_service.hh"
 #include "sphincs/sphincs.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using batchtest::miniParams;
@@ -18,6 +20,7 @@ using batchtest::patternMsg;
 using batchtest::signReq;
 using batchtest::verifyReq;
 using service::KeyStore;
+using service::ServiceConfig;
 using service::VerifyService;
 using sphincs::SphincsPlus;
 
@@ -173,4 +176,41 @@ TEST(VerifyService, SharedCacheAndStatsWithSignService)
     EXPECT_EQ(t0.verifyRejects, 0u);
     auto vst = verify_svc.stats();
     EXPECT_EQ(vst.tenants.at("t0").signsCompleted, 1u);
+}
+
+// A verify pass holds up to four lane widths and verifyBatch runs it
+// as that many lane groups, so a burst's lane fill stays at or below
+// 100% of the lanes it issues.
+TEST(VerifyService, BurstLaneFillNeverExceedsFullLanes)
+{
+    Fixture fx(1);
+    const ByteVec msg = patternMsg(32, 0x11);
+    const ByteVec sig = fx.scheme.sign(msg, fx.keys.at("t0").sk);
+
+    // Stall the first pass, so the rest of the burst queues behind it
+    // and the next pass takes a window of several lane widths.
+    FaultPlan plan;
+    FaultRule &stall = plan.rule(FaultPoint::QueueStall);
+    stall.active = true;
+    stall.max = 1;
+    stall.ms = 50;
+    FaultInjector::instance().arm(plan);
+
+    ServiceConfig cfg;
+    cfg.verifyWorkers = 1;
+    VerifyService svc(fx.store, cfg);
+    std::vector<std::future<bool>> futs;
+    for (unsigned i = 0; i < 64; ++i)
+        futs.push_back(svc.submit("t0", verifyReq(msg, sig)));
+    for (auto &f : futs)
+        EXPECT_TRUE(f.get());
+    svc.drain();
+    FaultInjector::instance().disarm();
+
+    const auto st = svc.stats();
+    ASSERT_TRUE(st.stages.count("verify_group_size"));
+    EXPECT_GT(st.stages.at("verify_group_size").max,
+              sphincs::hashLaneWidth());
+    ASSERT_TRUE(st.stages.count("verify_lane_fill_pct"));
+    EXPECT_LE(st.stages.at("verify_lane_fill_pct").max, 100u);
 }

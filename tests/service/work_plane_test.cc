@@ -125,12 +125,11 @@ struct Gate
 };
 
 PlaneShape
-shape(unsigned workers, unsigned window, unsigned max_group)
+shape(unsigned workers, unsigned window)
 {
     PlaneShape s;
     s.workers = workers;
     s.window = window;
-    s.maxGroup = max_group;
     return s;
 }
 
@@ -144,7 +143,7 @@ struct WorkPlaneTest : ::testing::Test
 
 TEST_F(WorkPlaneTest, LoneJobRunsAloneWithoutWaitingToFillTheWindow)
 {
-    Echo echo(shape(1, 4, 4));
+    Echo echo(shape(1, 4));
     auto f = echo.submit(21);
     // A plane that waited to fill its window would never finish this.
     ASSERT_EQ(f.wait_for(30s), std::future_status::ready);
@@ -154,7 +153,7 @@ TEST_F(WorkPlaneTest, LoneJobRunsAloneWithoutWaitingToFillTheWindow)
 
 TEST_F(WorkPlaneTest, PassNeverExceedsTheWindow)
 {
-    Echo echo(shape(1, 4, 4));
+    Echo echo(shape(1, 4));
     Gate gate;
     echo.onGroup = gate.hook();
 
@@ -171,28 +170,9 @@ TEST_F(WorkPlaneTest, PassNeverExceedsTheWindow)
     EXPECT_EQ(echo.groupSizes(), (std::vector<size_t>{1, 4, 4, 2}));
 }
 
-TEST_F(WorkPlaneTest, PassSplitsIntoGroupsOfAtMostMaxGroup)
-{
-    Echo echo(shape(1, 8, 3));
-    Gate gate;
-    echo.onGroup = gate.hook();
-
-    std::vector<std::future<int>> futs;
-    futs.push_back(echo.submit(0));
-    gate.entered.get_future().wait();
-    for (int v = 1; v <= 8; ++v)
-        futs.push_back(echo.submit(v));
-    gate.open();
-    for (int v = 0; v <= 8; ++v)
-        EXPECT_EQ(futs[v].get(), 2 * v);
-    echo.plane.drain();
-    // One pass of 8 same-context jobs, handed over 3, 3, 2.
-    EXPECT_EQ(echo.groupSizes(), (std::vector<size_t>{1, 3, 3, 2}));
-}
-
 TEST_F(WorkPlaneTest, CloseFailsQueuedJobsWithServiceShutdown)
 {
-    Echo echo(shape(1, 1, 1));
+    Echo echo(shape(1, 1));
     Gate gate;
     echo.onGroup = gate.hook();
 
@@ -243,7 +223,7 @@ TEST_F(WorkPlaneTest, CloseFailsQueuedJobsWithServiceShutdown)
 
 TEST_F(WorkPlaneTest, DestructionCompletesQueuedJobs)
 {
-    auto echo = std::make_unique<Echo>(shape(1, 1, 1));
+    auto echo = std::make_unique<Echo>(shape(1, 1));
     Gate gate;
     echo->onGroup = gate.hook();
 
@@ -263,7 +243,7 @@ TEST_F(WorkPlaneTest, DestructionCompletesQueuedJobs)
 
 TEST_F(WorkPlaneTest, PastDeadlineFailsAndCountsExpired)
 {
-    Echo echo(shape(1, 4, 4));
+    Echo echo(shape(1, 4));
     auto late = echo.submit(1, std::chrono::steady_clock::now() - 1s);
     auto on_time =
         echo.submit(2, std::chrono::steady_clock::now() + 1h);
@@ -291,7 +271,7 @@ TEST_F(WorkPlaneTest, WorkerThrowFailsThePassAndRestartsInPlace)
     rule.max = 1;
     FaultInjector::instance().arm(plan);
 
-    Echo echo(shape(2, 4, 4));
+    Echo echo(shape(2, 4));
     EXPECT_THROW(echo.submit(1).get(), FaultInjected);
     EXPECT_EQ(echo.submit(2).get(), 4); // the pool still serves
     echo.plane.drain();
@@ -306,7 +286,7 @@ TEST_F(WorkPlaneTest, WorkerThrowFailsThePassAndRestartsInPlace)
 
 TEST_F(WorkPlaneTest, SupervisionFailsOnlyUnsettledJobsOfThePass)
 {
-    Echo echo(shape(1, 4, 4));
+    Echo echo(shape(1, 4));
     Gate gate;
     echo.onGroup = gate.hook();
 
@@ -338,7 +318,7 @@ TEST_F(WorkPlaneTest, SupervisionFailsOnlyUnsettledJobsOfThePass)
 TEST_F(WorkPlaneTest, IdleWorkersWakeForEveryJob)
 {
     constexpr int kRounds = 2000;
-    Echo echo(shape(4, 4, 4));
+    Echo echo(shape(4, 4));
     for (int i = 0; i < kRounds; ++i) {
         auto f = echo.submit(i);
         ASSERT_EQ(f.wait_for(30s), std::future_status::ready) << i;
@@ -356,7 +336,7 @@ TEST_F(WorkPlaneTest, SnapshotLedgerStaysExactUnderFourProducers)
 {
     constexpr unsigned kProducers = 4;
     constexpr int kPerProducer = 500;
-    Echo echo(shape(4, 4, 4));
+    Echo echo(shape(4, 4));
 
     std::atomic<bool> stop{false};
     std::thread sampler([&] {

@@ -171,6 +171,20 @@ TEST(Export, JsonIsSingleLineWithExpectedSections)
     EXPECT_NE(json.find("\"stages\""), std::string::npos);
     EXPECT_NE(json.find("\"sign_end_to_end\""), std::string::npos);
     EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
+
+    // The group-shape histograms hold counts and percents, so their
+    // keys carry no nanosecond suffix.
+    for (const char *key : {"\"sign_group_size\":{",
+                            "\"sign_lane_fill_pct\":{",
+                            "\"verify_group_size\":{"}) {
+        const size_t at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << key;
+        const std::string obj = json.substr(at, json.find('}', at) - at);
+        for (const char *field : {"\"min\":", "\"max\":", "\"mean\":",
+                                  "\"p50\":", "\"p99\":"})
+            EXPECT_NE(obj.find(field), std::string::npos) << obj;
+        EXPECT_EQ(obj.find("_ns\""), std::string::npos) << obj;
+    }
 }
 
 TEST(Export, PrometheusOutputPassesFormatChecker)

@@ -274,3 +274,18 @@ TEST(Telemetry, GroupShapeHistogramsTrackFillRatio)
     ASSERT_TRUE(all.count("verify_group_size"));
     EXPECT_EQ(all.at("verify_group_size").count, 1u);
 }
+
+TEST(Telemetry, LaneFillChargesEveryLaneGroupOfAGroup)
+{
+    TelemetryConfig cfg;
+    Telemetry tel(cfg);
+    // A verify pass holds up to four lane widths: 64 members at width
+    // 16 run as four full lane groups, 19 as two (19 of 32 lanes).
+    tel.recordGroup(Plane::Verify, 64, 16);
+    tel.recordGroup(Plane::Verify, 19, 16);
+
+    auto verify = tel.snapshotStages(Plane::Verify);
+    ASSERT_TRUE(verify.count("verify_lane_fill_pct"));
+    EXPECT_EQ(verify.at("verify_lane_fill_pct").max, 100u);
+    EXPECT_EQ(verify.at("verify_lane_fill_pct").min, 59u);
+}
