@@ -7,9 +7,10 @@
 #   ./ci.sh                              # tier-1: configure+build+ctest
 #   SANITIZE=address,undefined ./ci.sh   # instrumented build+suite,
 #                                        # in its own build dir
-#   SANITIZE=thread CTEST_REGEX='batch|service|fabric' ./ci.sh
+#   SANITIZE=thread CTEST_REGEX='batch|service|engine|context|fabric|fault|telemetry' ./ci.sh
 #                                        # TSan over the threaded
-#                                        # suites only
+#                                        # suites only (the CI job's
+#                                        # regex)
 #   BUILD_TYPE=Debug ./ci.sh             # CI matrix entry
 #   CXX=clang++ ./ci.sh                  # compiler matrix entry
 #   WERROR=OFF ./ci.sh                   # drop -Werror (default ON)

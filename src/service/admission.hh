@@ -61,6 +61,16 @@ class ServiceOverload : public std::runtime_error
  *    plane.
  *  - Sign window = the lane width (sphincs::hashLaneWidth(), fixed):
  *    one coalesced group fills every hash lane once.
+ *  - Idle sign workers lend themselves to a lone signature, with no
+ *    field of their own: the worker that took a group of one cuts its
+ *    hypertree into 1 + min(idle sign workers, free cores) bands
+ *    (sphincs::SignTask::planBands) and runs them with whichever sign
+ *    workers are idle at that moment (WorkPlane::runBands). Free
+ *    cores are the hardware threads that no pass or band of either
+ *    plane holds, so a verify in flight keeps its core: beside one,
+ *    as in perfbench's single-128f, a lone 128f signature runs as 3
+ *    bands, and its crypto stage p50 fell from 3.5-4.1 ms to
+ *    1.7-2.0 ms (three 8 s runs per side on the 4-core host).
  *  - Verify window = 4 x the lane width (fixed): one drained chunk
  *    fills whole lane groups for several tenants at once without
  *    starving sibling workers.

@@ -69,6 +69,10 @@ struct ServiceStats
     /// pops of >= 2 same-context jobs signed in lockstep).
     uint64_t signLaneGroups = 0;
     uint64_t signCrossSignJobs = 0; ///< jobs signed inside such groups
+    /// Lone signatures split into two or more hypertree bands run on
+    /// idle sign workers (SignTask::runBand).
+    uint64_t signBanded = 0;
+    uint64_t signBandsHelped = 0; ///< bands run by a helping worker
 
     uint64_t verifyQueueDepth = 0; ///< jobs waiting in the verify queue
     uint64_t verifyInFlight = 0;   ///< verify submitted, not completed
@@ -135,6 +139,8 @@ struct ServiceStats
         m.signsRejected += other.signsRejected;
         m.signLaneGroups += other.signLaneGroups;
         m.signCrossSignJobs += other.signCrossSignJobs;
+        m.signBanded += other.signBanded;
+        m.signBandsHelped += other.signBandsHelped;
         m.verifyQueueDepth += other.verifyQueueDepth;
         m.verifyInFlight += other.verifyInFlight;
         m.verifiesSubmitted += other.verifiesSubmitted;

@@ -12,6 +12,7 @@ namespace herosign::service
 {
 
 using sphincs::maxHashLanes;
+using sphincs::SignBand;
 using sphincs::SignTask;
 
 namespace
@@ -138,15 +139,37 @@ SignService::finishJob(Job &job, ByteVec sig)
 }
 
 void
+SignService::signLone(SignTask &task, const sphincs::Params &params)
+{
+    // Lanes pinned scalar on this thread (the guard's redo) are not
+    // pinned on the helpers, so such a signature keeps one band. So
+    // does one with no idle worker: the whole signature, walked as
+    // runGroup() walks it.
+    const unsigned helpers = ScopedScalarLanes::activeOnThisThread()
+                                 ? 0
+                                 : plane_.idleHelpers();
+    const std::vector<SignBand> plan =
+        SignTask::planBands(params, 1 + helpers);
+    const unsigned helped = plane_.runBands(
+        static_cast<unsigned>(plan.size()),
+        [&](unsigned b) { task.runBand(plan[b]); });
+    task.joinBands(plan);
+    if (plan.size() > 1) {
+        banded_.fetch_add(1, std::memory_order_relaxed);
+        bandsHelped_.fetch_add(helped, std::memory_order_relaxed);
+    }
+}
+
+void
 SignService::process(std::span<Job *const> group)
 {
     for (Job *job : group)
         tel_->stamp(job->trace, telemetry::Stage::CryptoStart);
 
     // Every member shares one warm context, so the whole run signs as
-    // one SignTask group. Task construction (prfMsg + digest)
-    // can throw per job; a failed member is dropped and the rest
-    // still sign together.
+    // one SignTask group, or as bands when one member is left.
+    // Task construction (prfMsg + digest) can throw per job; a failed
+    // member is dropped and the rest still sign together.
     const WarmContext &warm = *group[0]->warm;
     std::unique_ptr<SignTask> tasks[maxHashLanes];
     SignTask *ptrs[maxHashLanes];
@@ -165,7 +188,10 @@ SignService::process(std::span<Job *const> group)
     if (nlive == 0)
         return;
     try {
-        SignTask::runGroup(ptrs, nlive);
+        if (nlive == 1)
+            signLone(*ptrs[0], warm.ctx.params());
+        else
+            SignTask::runGroup(ptrs, nlive);
     } catch (...) {
         for (unsigned i = 0; i < nlive; ++i)
             plane_.fail(*live[i], std::current_exception());
@@ -201,6 +227,8 @@ SignService::stats() const
     st.signLaneGroups = laneGroups_.load(std::memory_order_relaxed);
     st.signCrossSignJobs =
         crossSignJobs_.load(std::memory_order_relaxed);
+    st.signBanded = banded_.load(std::memory_order_relaxed);
+    st.signBandsHelped = bandsHelped_.load(std::memory_order_relaxed);
     st.callbackErrors =
         callbackErrors_.load(std::memory_order_relaxed);
     st.guardMismatches =

@@ -8,8 +8,10 @@
  * and sign each same-context (same-tenant) run as one cross-signature
  * lane group through sphincs::SignTask::runGroup, so SIMD hash lanes
  * fill across signatures even under interleaved multi-tenant traffic.
- * A lone request signs as a group of one. Admission control is a
- * bounded pending-job cap surfaced through the unified ServiceStats.
+ * A lone request signs as hypertree bands on the workers idle at that
+ * moment (SignTask::runBand), or on its worker alone when none is.
+ * Admission control is a bounded pending-job cap surfaced through the
+ * unified ServiceStats.
  *
  * A single-key signer is a SignService over a one-key KeyStore; the
  * store zeroizes the secret seeds when the last reference drops.
@@ -31,6 +33,11 @@
 #include "service/key_store.hh"
 #include "service/service_stats.hh"
 #include "service/work_plane.hh"
+
+namespace herosign::sphincs
+{
+class SignTask;
+} // namespace herosign::sphincs
 
 namespace herosign::service
 {
@@ -142,8 +149,17 @@ class SignService
 
     friend class WorkPlane<Job, SignService>;
 
-    /** Sign one same-context group with SignTask::runGroup. */
+    /**
+     * Sign one same-context group with SignTask::runGroup; a lone
+     * signature goes through signLone().
+     */
     void process(std::span<Job *const> group);
+    /**
+     * Sign a lone task as 1 + idleHelpers() bands on this worker and
+     * the idle ones (SignTask::planBands); one band, on this thread,
+     * when no worker is idle or lanes are pinned scalar here.
+     */
+    void signLone(sphincs::SignTask &task, const sphincs::Params &params);
     void finishJob(Job &job, ByteVec sig);
     ByteVec guardSignature(ByteVec sig, Job &job);
 
@@ -158,6 +174,8 @@ class SignService
 
     std::atomic<uint64_t> laneGroups_{0};
     std::atomic<uint64_t> crossSignJobs_{0};
+    std::atomic<uint64_t> banded_{0};
+    std::atomic<uint64_t> bandsHelped_{0};
     std::atomic<uint64_t> callbackErrors_{0};
     std::atomic<uint64_t> guardMismatches_{0};
     std::atomic<uint64_t> laneQuarantines_{0};

@@ -48,6 +48,8 @@ namedValues(const ServiceStats &s)
         {"signs_rejected", s.signsRejected, false},
         {"sign_lane_groups", s.signLaneGroups, false},
         {"sign_cross_sign_jobs", s.signCrossSignJobs, false},
+        {"sign_banded", s.signBanded, false},
+        {"sign_bands_helped", s.signBandsHelped, false},
         {"verify_queue_depth", s.verifyQueueDepth, true},
         {"verify_in_flight", s.verifyInFlight, true},
         {"verifies_submitted", s.verifiesSubmitted, false},

@@ -28,7 +28,11 @@
  *    and the telemetry record;
  *  - the submitted/completed ledger with its rate epoch, drain(),
  *    pending() and a snapshot in which submitted - completed is the
- *    exact in-flight count and queueDepth the exact queued count.
+ *    exact in-flight count and queueDepth the exact queued count;
+ *  - lending idle workers to one job: process() may cut a job into
+ *    bands (runBands()); idle workers serve posted bands before the
+ *    queue, and the poster runs every band no helper claimed, so a
+ *    busy plane runs the job on one thread as before.
  */
 
 #ifndef HEROSIGN_SERVICE_WORK_PLANE_HH
@@ -40,6 +44,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -60,6 +65,18 @@
 
 namespace herosign::service
 {
+
+/**
+ * Threads running a pass or a band, across every plane of the
+ * process. A pass lends bands only to the hardware threads this
+ * leaves free, so a busy verify plane keeps its cores.
+ */
+inline std::atomic<unsigned> &
+busyPlaneThreads()
+{
+    static std::atomic<unsigned> busy{0};
+    return busy;
+}
 
 /**
  * The fields the plane reads and settles on every job. A service's
@@ -359,7 +376,104 @@ class WorkPlane
     /** Jobs one worker takes per pass (1 = no coalescing). */
     unsigned window() const { return window_; }
 
+    /**
+     * Workers a pass could borrow for bands right now: the workers
+     * waiting on the queue, less the queued jobs and unclaimed bands
+     * already waiting for them, capped by the hardware threads that
+     * no pass or band holds in any plane (busyPlaneThreads()). A
+     * snapshot: runBands() copes with it going stale.
+     */
+    unsigned
+    idleHelpers() const
+    {
+        const unsigned busy =
+            busyPlaneThreads().load(std::memory_order_relaxed);
+        const unsigned free_cores =
+            hwThreads_ > busy ? hwThreads_ - busy : 0;
+        std::lock_guard<std::mutex> lk(queueM_);
+        size_t waiting = queue_.size();
+        for (const PostedBands *post : posted_)
+            waiting += post->count - post->next;
+        const unsigned idle =
+            idle_ > waiting ? idle_ - static_cast<unsigned>(waiting) : 0;
+        return std::min(idle, free_cores);
+    }
+
+    /**
+     * Run band(0) .. band(@p count - 1) of one job, from process().
+     * Bands 1.. are posted for idle workers, which serve a posted
+     * band before the queue. The caller runs band 0, takes back every
+     * band no helper has claimed and runs it too, then waits only for
+     * the claimed ones, so a plane with no idle worker runs every band
+     * here without waiting. The first exception a band throws is
+     * rethrown once every claimed band has returned (a helper keeps
+     * serving); after one, the caller runs no further band.
+     * @return bands run by helpers
+     */
+    unsigned
+    runBands(unsigned count, const std::function<void(unsigned)> &band)
+    {
+        PostedBands post;
+        post.band = &band;
+        post.count = count;
+        if (count > 1) {
+            {
+                std::lock_guard<std::mutex> lk(queueM_);
+                posted_.push_back(&post);
+            }
+            for (unsigned i = 1; i < count; ++i)
+                queueCv_.notify_one();
+        }
+
+        std::exception_ptr err;
+        try {
+            if (count > 0)
+                band(0u);
+        } catch (...) {
+            err = std::current_exception();
+        }
+        unsigned first = count;
+        {
+            std::lock_guard<std::mutex> lk(queueM_);
+            first = post.next;
+            post.next = count;
+            posted_.erase(
+                std::remove(posted_.begin(), posted_.end(), &post),
+                posted_.end());
+        }
+        for (unsigned i = first; i < count && !err; ++i) {
+            try {
+                band(i);
+            } catch (...) {
+                err = std::current_exception();
+            }
+        }
+        std::unique_lock<std::mutex> lk(queueM_);
+        post.returned.wait(lk, [&] { return post.running == 0; });
+        if (!err)
+            err = post.error;
+        lk.unlock();
+        if (err)
+            std::rethrow_exception(err);
+        return post.helped;
+    }
+
   private:
+    /**
+     * One job's bands, posted by runBands() on its caller's stack.
+     * Every field but the first two is guarded by queueM_.
+     */
+    struct PostedBands
+    {
+        const std::function<void(unsigned)> *band = nullptr;
+        unsigned count = 0;
+        unsigned next = 1;    ///< lowest band nobody has claimed
+        unsigned running = 0; ///< claimed by helpers, not yet returned
+        unsigned helped = 0;  ///< returned by helpers
+        std::exception_ptr error; ///< first a helper's band threw
+        std::condition_variable returned; ///< running reached 0
+    };
+
     void
     join()
     {
@@ -381,23 +495,66 @@ class WorkPlane
     }
 
     /**
-     * Block until a job is queued or the queue is closed, then move
-     * up to window_ jobs into @p pass in the same lock hold.
+     * Block until a band is posted, a job is queued or the queue is
+     * closed. A posted band comes first: claim it into @p post and
+     * @p band. Otherwise move up to window_ jobs into @p pass in the
+     * same lock hold. Either way the worker counts as busy
+     * (busyPlaneThreads()) from here until workerLoop() is done.
      * @return false once the queue is closed and drained
      */
     bool
-    takePass(std::vector<Job> &pass)
+    takeWork(std::vector<Job> &pass, PostedBands *&post, unsigned &band)
     {
         pass.clear();
+        post = nullptr;
         std::unique_lock<std::mutex> lk(queueM_);
-        queueCv_.wait(lk, [&] { return !queue_.empty() || queueClosed_; });
-        // Coalesce whatever is already queued — never wait for more:
-        // an idle queue runs the single job at once.
-        while (!queue_.empty() && pass.size() < window_) {
-            pass.push_back(std::move(queue_.front()));
-            queue_.pop_front();
+        ++idle_;
+        queueCv_.wait(lk, [&] {
+            return !posted_.empty() || !queue_.empty() || queueClosed_;
+        });
+        --idle_;
+        if (!posted_.empty()) {
+            post = posted_.front();
+            band = post->next++;
+            ++post->running;
+            if (post->next == post->count)
+                posted_.pop_front();
+            // The wakeup that brought this worker here may have been
+            // a job's: pass one on while work is left for others.
+            if (!posted_.empty() || !queue_.empty())
+                queueCv_.notify_one();
+        } else {
+            // Coalesce whatever is already queued — never wait for
+            // more: an idle queue runs the single job at once.
+            while (!queue_.empty() && pass.size() < window_) {
+                pass.push_back(std::move(queue_.front()));
+                queue_.pop_front();
+            }
+            if (pass.empty())
+                return false;
         }
-        return !pass.empty();
+        busyPlaneThreads().fetch_add(1, std::memory_order_relaxed);
+        return true;
+    }
+
+    /** Run a claimed band and hand its outcome back to the poster. */
+    void
+    helpBand(PostedBands &post, unsigned band)
+    {
+        std::exception_ptr err;
+        try {
+            (*post.band)(band);
+        } catch (...) {
+            err = std::current_exception();
+        }
+        // The poster may return as soon as running reaches 0, so
+        // post is not touched once the lock is released.
+        std::lock_guard<std::mutex> lk(queueM_);
+        if (err && !post.error)
+            post.error = err;
+        ++post.helped;
+        if (--post.running == 0)
+            post.returned.notify_one();
     }
 
     void
@@ -408,7 +565,14 @@ class WorkPlane
         pass.reserve(window_);
         live.reserve(window_);
         group.reserve(window_);
-        while (takePass(pass)) {
+        PostedBands *post = nullptr;
+        unsigned band = 0;
+        while (takeWork(pass, post, band)) {
+            if (post) {
+                helpBand(*post, band);
+                busyPlaneThreads().fetch_sub(1, std::memory_order_relaxed);
+                continue;
+            }
             for (Job &job : pass)
                 tel_.stamp(job.trace, telemetry::Stage::Dequeue);
 
@@ -429,6 +593,7 @@ class WorkPlane
                 for (Job &j : pass)
                     fail(j, std::current_exception());
             }
+            busyPlaneThreads().fetch_sub(1, std::memory_order_relaxed);
         }
     }
 
@@ -548,10 +713,16 @@ class WorkPlane
     std::atomic<uint64_t> expired_{0};
     std::atomic<uint64_t> restarts_{0};
 
-    // The FIFO the workers drain, guarded by queueM_.
+    const unsigned hwThreads_ =
+        std::max(std::thread::hardware_concurrency(), 1u);
+
+    // The FIFO the workers drain, the bands posted for them and the
+    // count of workers waiting, guarded by queueM_.
     mutable std::mutex queueM_;
     std::condition_variable queueCv_;
     std::deque<Job> queue_;
+    std::deque<PostedBands *> posted_; ///< with unclaimed bands
+    unsigned idle_ = 0;
     bool queueClosed_ = false;
 
     // The ledger's rate epoch, guarded by ledgerM_.

@@ -418,6 +418,45 @@ TEST(SignService, ByteMatchesOracleForEveryTableISet)
     }
 }
 
+// Lone requests on an idle 4-worker service sign as bands on the
+// idle workers (when the host has a core to spare), byte-identical to
+// the oracle on every Table I set and the mini set.
+TEST(SignService, LoneSignaturesOnIdleWorkersSignInBands)
+{
+    std::vector<sphincs::Params> sets = sphincs::Params::all();
+    sets.push_back(miniParams());
+    for (const sphincs::Params &p : sets) {
+        SphincsPlus scheme(p);
+        auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(p, 5));
+        KeyStore store;
+        store.addKey("k", kp);
+        ServiceConfig cfg;
+        cfg.workers = 4;
+        SignService svc(store, cfg);
+
+        constexpr unsigned kSigns = 3;
+        for (unsigned i = 0; i < kSigns; ++i) {
+            const ByteVec msg = patternMsg(32, static_cast<uint8_t>(i));
+            const ByteVec rand =
+                i % 2 ? ByteVec(p.n, static_cast<uint8_t>(0x5c + i))
+                      : ByteVec{};
+            EXPECT_EQ(svc.submit("k", signReq(msg, rand)).get(),
+                      oracle::oracleSign(kp.sk, msg, rand))
+                << p.name << " msg " << i;
+        }
+        svc.drain();
+        const auto st = svc.stats();
+        EXPECT_EQ(st.signFailures, 0u);
+        EXPECT_EQ(st.signLaneGroups, 0u);
+        EXPECT_LE(st.signBanded, kSigns);
+        // At most the three other workers help one signature.
+        EXPECT_LE(st.signBandsHelped, 3 * st.signBanded);
+        if (std::thread::hardware_concurrency() >= 2) {
+            EXPECT_GT(st.signBanded, 0u) << p.name;
+        }
+    }
+}
+
 // Whatever group shapes the queue races produce, output bytes match
 // the oracle per message — 1 worker and 8 workers alike.
 TEST(SignService, WorkerCountInvariance1v8)

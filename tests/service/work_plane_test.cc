@@ -4,8 +4,9 @@
  * the machinery both serving planes share is pinned on its own — the
  * coalescing window that never waits for more jobs, close() fast-fail
  * vs graceful teardown, dequeue-time deadline drops, supervision of
- * escaped exceptions, wakeups of idle workers, and the exact ledger
- * snapshot under concurrent producers. Cheap enough to run under
+ * escaped exceptions, wakeups of idle workers, the exact ledger
+ * snapshot under concurrent producers, and idle workers lent to one
+ * job's bands (idleHelpers(), runBands()). Cheap enough to run under
  * every sanitizer (a TSan target).
  */
 
@@ -13,10 +14,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -39,16 +43,23 @@ namespace
 
 using namespace std::chrono_literals;
 
-/** The job: a number in, twice the number out. */
+/**
+ * The job: a number in, twice the number out. A job with bands runs
+ * them through runBands() before it settles.
+ */
 struct EchoJob : service::PlaneJob<int>
 {
     int value = 0;
+    unsigned bands = 0;
 };
 
 /**
  * A one-tenant echo service over a WorkPlane. process() doubles each
  * member's value; a negative value throws out of the pass after the
- * members before it were settled.
+ * members before it were settled. A job with bands asks the plane
+ * for idleHelpers(), runs its bands through runBands() (onBand runs
+ * in each) and fails alone if one throws; afterBands then runs on the
+ * job's worker once the job has settled.
  */
 class Echo
 {
@@ -60,12 +71,14 @@ class Echo
     }
 
     std::future<int>
-    submit(int v, std::optional<batch::Deadline> deadline = {})
+    submit(int v, std::optional<batch::Deadline> deadline = {},
+           unsigned bands = 0)
     {
         plane.checkOpen();
         return plane.submit(tenant, "t", [&](EchoJob &job) {
             job.value = v;
             job.deadline = deadline;
+            job.bands = bands;
         });
     }
 
@@ -75,14 +88,59 @@ class Echo
         {
             std::lock_guard<std::mutex> lk(m);
             groups.push_back(group.size());
+            workerOf[group[0]->value] = std::this_thread::get_id();
         }
         if (onGroup)
             onGroup();
         for (EchoJob *job : group) {
             if (job->value < 0)
                 throw std::runtime_error("echo: negative value");
+            if (job->bands > 0) {
+                runJobBands(*job);
+                continue;
+            }
             plane.finish(*job, 2 * job->value);
         }
+    }
+
+    void
+    runJobBands(EchoJob &job)
+    {
+        helpersSeen = plane.idleHelpers();
+        const unsigned count =
+            capBands ? std::min(job.bands, 1 + helpersSeen.load())
+                     : job.bands;
+        try {
+            const unsigned helped =
+                plane.runBands(count, [&](unsigned b) {
+                    {
+                        std::lock_guard<std::mutex> lk(m);
+                        bandThreads[b] = std::this_thread::get_id();
+                    }
+                    if (onBand)
+                        onBand(b);
+                });
+            helpedBands = helped;
+            plane.finish(job, 2 * job.value);
+        } catch (...) {
+            plane.fail(job, std::current_exception());
+        }
+        if (afterBands)
+            afterBands();
+    }
+
+    std::thread::id
+    bandThread(unsigned b)
+    {
+        std::lock_guard<std::mutex> lk(m);
+        return bandThreads[b];
+    }
+
+    std::thread::id
+    worker(int value)
+    {
+        std::lock_guard<std::mutex> lk(m);
+        return workerOf[value];
     }
 
     std::vector<size_t>
@@ -98,8 +156,18 @@ class Echo
     /// Runs at the start of every process() call; set it before the
     /// first submit.
     std::function<void()> onGroup;
+    /// Runs inside each band, with the band's index.
+    std::function<void(unsigned)> onBand;
+    /// Runs on a banded job's worker after the job settled.
+    std::function<void()> afterBands;
+    /// Post at most 1 + idleHelpers() bands, as SignService does.
+    bool capBands = false;
+    std::atomic<unsigned> helpersSeen{0};
+    std::atomic<unsigned> helpedBands{0};
     std::mutex m;
     std::vector<size_t> groups;
+    std::map<unsigned, std::thread::id> bandThreads;
+    std::map<int, std::thread::id> workerOf; ///< by first job's value
     WorkPlane<EchoJob, Echo> plane; // last: joins first
 };
 
@@ -122,6 +190,31 @@ struct Gate
     }
 
     void open() { released.set_value(); }
+};
+
+/** A count that threads add to and wait on. */
+struct Count
+{
+    void
+    add()
+    {
+        {
+            std::lock_guard<std::mutex> lk(m);
+            ++n;
+        }
+        cv.notify_all();
+    }
+
+    bool
+    waitFor(unsigned target)
+    {
+        std::unique_lock<std::mutex> lk(m);
+        return cv.wait_for(lk, 30s, [&] { return n >= target; });
+    }
+
+    std::mutex m;
+    std::condition_variable cv;
+    unsigned n = 0;
 };
 
 PlaneShape
@@ -374,4 +467,180 @@ TEST_F(WorkPlaneTest, SnapshotLedgerStaysExactUnderFourProducers)
     EXPECT_GT(s.wallUs, 0.0);
     EXPECT_EQ(echo.plane.pending(), 0u);
     EXPECT_EQ(echo.admission.pendingTotal(), 0u);
+}
+
+// Lending idle workers: one job's bands through runBands().
+
+TEST_F(WorkPlaneTest, IdleFourWorkerPlaneLendsUpToThreeHelpers)
+{
+    Count started;
+    Echo echo(shape(4, 1));
+    echo.capBands = true;
+    const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+    // From this thread no pass runs anywhere, so once all four workers
+    // wait on the queue the plane offers min(4, hw) of them.
+    const auto until = std::chrono::steady_clock::now() + 30s;
+    while (echo.plane.idleHelpers() < std::min(4u, hw) &&
+           std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(1ms);
+    ASSERT_EQ(echo.plane.idleHelpers(), std::min(4u, hw));
+
+    // Every band waits until all have started, so each helper the
+    // owner was offered must have claimed one, on its own thread.
+    const unsigned lent = std::min(3u, hw - 1);
+    echo.onBand = [&](unsigned) {
+        started.add();
+        EXPECT_TRUE(started.waitFor(1 + lent));
+    };
+    EXPECT_EQ(echo.submit(1, {}, 4).get(), 2);
+    EXPECT_EQ(echo.helpersSeen.load(), lent);
+    EXPECT_EQ(echo.helpedBands.load(), lent);
+    EXPECT_EQ(echo.bandThread(0), echo.worker(1));
+    std::set<std::thread::id> threads;
+    for (unsigned b = 0; b <= lent; ++b)
+        threads.insert(echo.bandThread(b));
+    EXPECT_EQ(threads.size(), 1 + lent);
+}
+
+TEST_F(WorkPlaneTest, BusyPlaneRunsEveryBandOnTheOwnerWithoutWaiting)
+{
+    std::atomic<bool> hold{true};
+    std::promise<void> release;
+    std::shared_future<void> go = release.get_future().share();
+    Count held;
+    Echo echo(shape(4, 1));
+    echo.onGroup = [&] {
+        if (hold.load()) {
+            held.add();
+            go.wait();
+        }
+    };
+    std::vector<std::future<int>> futs;
+    for (int v = 1; v <= 3; ++v)
+        futs.push_back(echo.submit(v));
+    ASSERT_TRUE(held.waitFor(3));
+    hold.store(false);
+
+    // Three workers are held: nobody can help, and the owner takes
+    // back and runs all four bands while they are still held.
+    auto banded = echo.submit(10, {}, 4);
+    ASSERT_EQ(banded.wait_for(30s), std::future_status::ready);
+    EXPECT_EQ(banded.get(), 20);
+    EXPECT_EQ(echo.helpersSeen.load(), 0u);
+    EXPECT_EQ(echo.helpedBands.load(), 0u);
+    for (unsigned b = 0; b < 4; ++b)
+        EXPECT_EQ(echo.bandThread(b), echo.worker(10)) << b;
+
+    release.set_value();
+    for (int v = 1; v <= 3; ++v)
+        EXPECT_EQ(futs[v - 1].get(), 2 * v);
+}
+
+TEST_F(WorkPlaneTest, ThrowingBandFailsItsJobOnceAndTheHelperServesOn)
+{
+    // Declared before the plane: its workers use them until joined.
+    Count started;
+    std::promise<void> next_done;
+    std::shared_future<void> next = next_done.get_future().share();
+    Echo echo(shape(2, 1));
+    echo.onBand = [&](unsigned b) {
+        started.add();
+        if (b == 0) {
+            EXPECT_TRUE(started.waitFor(2)); // band 1 is on the helper
+        }
+        if (b == 1)
+            throw std::runtime_error("echo: band 1");
+    };
+    // The owner stays in its pass until the next job is done, so only
+    // the helper can take it.
+    echo.afterBands = [&] { next.wait_for(30s); };
+
+    auto banded = echo.submit(1, {}, 2);
+    EXPECT_THROW(banded.get(), std::runtime_error);
+    auto queued = echo.submit(5);
+    ASSERT_EQ(queued.wait_for(30s), std::future_status::ready);
+    EXPECT_EQ(queued.get(), 10);
+    next_done.set_value();
+    echo.plane.drain();
+
+    EXPECT_EQ(echo.worker(5), echo.bandThread(1));
+    EXPECT_NE(echo.worker(5), echo.worker(1));
+    const PlaneSnapshot s = echo.plane.snapshot();
+    EXPECT_EQ(s.restarts, 0u);
+    EXPECT_EQ(s.failures, 1u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(echo.tenant.signFailures.load(), 1u);
+    EXPECT_EQ(echo.admission.pendingTotal(), 0u);
+}
+
+TEST_F(WorkPlaneTest, CloseWithClaimedBandsFinishesThemAndSettlesOnce)
+{
+    Count started;
+    std::promise<void> release;
+    std::shared_future<void> go = release.get_future().share();
+    Echo echo(shape(2, 1));
+    echo.onBand = [&](unsigned b) {
+        started.add();
+        if (b == 0) {
+            EXPECT_TRUE(started.waitFor(2));
+        }
+        if (b == 1)
+            go.wait();
+    };
+    auto banded = echo.submit(3, {}, 2);
+    ASSERT_TRUE(started.waitFor(2));
+    auto queued = echo.submit(4); // both workers are in the job
+
+    std::thread closer([&] { echo.plane.close(); });
+    for (;;) {
+        try {
+            echo.plane.checkOpen();
+            std::this_thread::yield();
+        } catch (const ServiceShutdown &) {
+            break;
+        }
+    }
+    release.set_value();
+    closer.join();
+
+    EXPECT_EQ(banded.get(), 6); // in a pass: finishes
+    EXPECT_THROW(queued.get(), ServiceShutdown);
+    EXPECT_EQ(echo.helpedBands.load(), 1u);
+    const PlaneSnapshot s = echo.plane.snapshot();
+    EXPECT_EQ(s.submitted, 2u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.failures, 1u);
+    EXPECT_EQ(s.restarts, 0u);
+    EXPECT_EQ(echo.admission.pendingTotal(), 0u);
+}
+
+TEST_F(WorkPlaneTest, JobQueuedWhileEveryHelperRunsABandIsTakenOnReturn)
+{
+    Count started;
+    std::promise<void> submitted;
+    std::shared_future<void> queued_now = submitted.get_future().share();
+    std::promise<void> next_done;
+    std::shared_future<void> next = next_done.get_future().share();
+    Echo echo(shape(2, 1));
+    echo.onBand = [&](unsigned b) {
+        started.add();
+        if (b == 0) {
+            EXPECT_TRUE(started.waitFor(2));
+        }
+        if (b == 1)
+            queued_now.wait();
+    };
+    echo.afterBands = [&] { next.wait_for(30s); };
+
+    auto banded = echo.submit(1, {}, 2);
+    ASSERT_TRUE(started.waitFor(2));
+    // No worker waits on the queue now: the push's wakeup reaches
+    // nobody, and the helper must find the job when its band returns.
+    auto queued = echo.submit(7);
+    submitted.set_value();
+    ASSERT_EQ(queued.wait_for(30s), std::future_status::ready);
+    EXPECT_EQ(queued.get(), 14);
+    next_done.set_value();
+    EXPECT_EQ(banded.get(), 2);
+    EXPECT_EQ(echo.worker(7), echo.bandThread(1));
 }

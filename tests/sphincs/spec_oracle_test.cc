@@ -6,9 +6,13 @@
  * and 16 on the Table I sets, the mini set and a custom set: keygen
  * and lone signatures (SphincsPlus::sign, a SignTask group of one)
  * everywhere, ragged and full SignTask::signGroup groups on the two
- * small sets. lane_scheduler_test holds the Table I sets' groups to
- * the oracle. The one test of batch::LaneScheduler, the alias the
- * serving benchmark still calls, is here too.
+ * small sets, and lone signatures cut into bands (SignTask::runBand)
+ * run in reverse order on one thread: every band count and every
+ * contiguous cut on the small sets, the production plans for 2..4
+ * bands and a FORS-cutting plan on the Table I sets.
+ * lane_scheduler_test holds the Table I sets' groups to the oracle.
+ * The one test of batch::LaneScheduler, the alias the serving
+ * benchmark still calls, is here too.
  */
 
 #include <gtest/gtest.h>
@@ -54,7 +58,61 @@ struct DiffCase
 {
     Params params;
     bool groups; ///< also sign ragged and full groups
+    /// Bands: every count and contiguous cut (small sets) rather than
+    /// the production plans for 2..4 bands (Table I sets).
+    bool everyCut;
 };
+
+using Plan = std::vector<sphincs::SignBand>;
+
+/**
+ * Every cut of the d layers into @p bands contiguous non-empty bands,
+ * FORS whole in band 0; each cut also comes with the FORS trees spread
+ * over the bands as evenly as they go, so layer 0 is a seam.
+ */
+std::vector<Plan>
+everyCut(const Params &p, unsigned bands)
+{
+    std::vector<Plan> plans;
+    std::vector<unsigned> ends(bands);
+    // ends[b] is the layer band b ends before; the last is d.
+    const auto recurse = [&](auto &&self, unsigned b, unsigned from) {
+        if (b + 1 == bands) {
+            ends[b] = p.layers;
+            Plan whole, spread;
+            unsigned begin = 0;
+            for (unsigned i = 0; i < bands; ++i) {
+                whole.push_back({i == 0 ? 0 : p.forsTrees, p.forsTrees,
+                                 begin, ends[i]});
+                spread.push_back({p.forsTrees * i / bands,
+                                  p.forsTrees * (i + 1) / bands, begin,
+                                  ends[i]});
+                begin = ends[i];
+            }
+            plans.push_back(whole);
+            plans.push_back(spread);
+            return;
+        }
+        for (unsigned e = from + 1; e + (bands - 1 - b) <= p.layers; ++e) {
+            ends[b] = e;
+            self(self, b + 1, e);
+        }
+    };
+    recurse(recurse, 0, 0);
+    return plans;
+}
+
+/** Sign @p msg as @p plan's bands, run last to first on this thread. */
+ByteVec
+signInBands(const Context &ctx, const sphincs::SecretKey &sk,
+            const ByteVec &msg, const ByteVec &opt_rand, const Plan &plan)
+{
+    sphincs::SignTask task(ctx, sk, msg, opt_rand);
+    for (auto band = plan.rbegin(); band != plan.rend(); ++band)
+        task.runBand(*band);
+    task.joinBands(plan);
+    return task.takeSignature();
+}
 
 class SpecOracleGolden : public ::testing::TestWithParam<GoldenVector>
 {
@@ -132,10 +190,33 @@ TEST_P(SpecOracleDiff, ProductionMatchesOracleAtEveryWidth)
             EXPECT_TRUE(scheme.verify(msgs[i], sig, kp.pk));
         }
 
+        // Lone signatures in bands.
+        const Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
+        std::vector<Plan> plans;
+        if (GetParam().everyCut) {
+            for (unsigned b = 1; b <= p.layers; ++b)
+                for (Plan &plan : everyCut(p, b))
+                    plans.push_back(std::move(plan));
+        } else {
+            for (unsigned b = 2; b <= 4; ++b)
+                plans.push_back(sphincs::SignTask::planBands(p, b));
+            // Half the FORS trees and half the layers per band.
+            plans.push_back({{0, p.forsTrees / 2, 0, p.layers / 2},
+                             {p.forsTrees / 2, p.forsTrees, p.layers / 2,
+                              p.layers}});
+        }
+        for (size_t c = 0; c < plans.size(); ++c) {
+            for (unsigned i = 0; i < 2; ++i)
+                EXPECT_EQ(signInBands(ctx, kp.sk, msgs[i], rands[i],
+                                      plans[c]),
+                          want[i])
+                    << p.name << " width " << width << " plan " << c
+                    << " of " << plans[c].size() << " bands, msg " << i;
+        }
+
         if (!GetParam().groups)
             continue;
         // A ragged group and a full one.
-        const Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
         for (unsigned group : {5u, 16u}) {
             std::vector<ByteSpan> msg_spans, rand_spans;
             for (unsigned i = 0; i < group; ++i) {
@@ -156,11 +237,11 @@ TEST_P(SpecOracleDiff, ProductionMatchesOracleAtEveryWidth)
 
 INSTANTIATE_TEST_SUITE_P(
     Sets, SpecOracleDiff,
-    ::testing::Values(DiffCase{Params::sphincs128f(), false},
-                      DiffCase{Params::sphincs192f(), false},
-                      DiffCase{Params::sphincs256f(), false},
-                      DiffCase{batchtest::miniParams(), true},
-                      DiffCase{customParams(), true}),
+    ::testing::Values(DiffCase{Params::sphincs128f(), false, false},
+                      DiffCase{Params::sphincs192f(), false, false},
+                      DiffCase{Params::sphincs256f(), false, false},
+                      DiffCase{batchtest::miniParams(), true, true},
+                      DiffCase{customParams(), true, true}),
     [](const auto &info) {
         std::string name = info.param.params.name;
         for (char &c : name)
@@ -168,6 +249,81 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+// The production plans: contiguous tiles, balanced in layer units,
+// FORS whole at 128f (so band 0 captures layer 0) and cut in lane
+// groups at 192f and 256f once it outweighs a band's share.
+TEST(SignBandPlan, TilesInLaneGroupsAndKeepsLightForsWhole)
+{
+    for (unsigned width : {8u, 16u}) {
+        ScopedWidth w(width);
+        // The dispatched width: a runtime pin may hold it below 16.
+        const unsigned lanes = sphincs::hashLaneWidth();
+        for (const Params &p : Params::all()) {
+            for (unsigned b = 1; b <= 6; ++b) {
+                const Plan plan = sphincs::SignTask::planBands(p, b);
+                ASSERT_EQ(plan.size(), b) << p.name;
+                unsigned fors = 0, layer = 0;
+                for (const sphincs::SignBand &band : plan) {
+                    EXPECT_EQ(band.forsBegin, fors);
+                    EXPECT_EQ(band.layerBegin, layer);
+                    EXPECT_TRUE(band.forsEnd > band.forsBegin ||
+                                band.layerEnd > band.layerBegin);
+                    EXPECT_TRUE(band.forsEnd == p.forsTrees ||
+                                band.forsEnd % lanes == 0)
+                        << p.name << " cuts FORS inside a lane group";
+                    fors = band.forsEnd;
+                    layer = band.layerEnd;
+                }
+                EXPECT_EQ(fors, p.forsTrees);
+                EXPECT_EQ(layer, p.layers);
+            }
+        }
+        // 128f: FORS (about 2.5 layers of time) stays in band 0 with
+        // the first layers; 22 layers in 3 bands go 6 + 8 + 8.
+        const Plan p128 =
+            sphincs::SignTask::planBands(Params::sphincs128f(), 3);
+        EXPECT_EQ(p128[0].forsEnd, Params::sphincs128f().forsTrees);
+        EXPECT_EQ(p128[0].layerBegin, 0u);
+        EXPECT_EQ(p128[0].layerEnd, 6u);
+        EXPECT_EQ(p128[1].layerEnd, 14u);
+        // 192f and 256f at 4 bands: FORS (9.1 / 7.3 layers) exceeds a
+        // quarter, so band 0 no longer holds every tree.
+        for (const Params *p :
+             {&Params::sphincs192f(), &Params::sphincs256f()}) {
+            const Plan plan = sphincs::SignTask::planBands(*p, 4);
+            EXPECT_LT(plan[0].forsEnd, p->forsTrees) << p->name;
+        }
+    }
+    // More bands than work units: one unit per band.
+    const Params mini = batchtest::miniParams();
+    EXPECT_EQ(sphincs::SignTask::planBands(mini, 99).size(),
+              mini.layers + 1);
+    EXPECT_EQ(sphincs::SignTask::planBands(mini, 0).size(), 1u);
+}
+
+TEST(SignBandPlan, JoinRejectsPlansThatDoNotTile)
+{
+    const Params p = batchtest::miniParams();
+    const SphincsPlus scheme(p);
+    const auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(p));
+    const Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
+    const ByteVec msg = batchtest::patternMsg(16);
+    const unsigned k = p.forsTrees, d = p.layers;
+
+    sphincs::SignTask task(ctx, kp.sk, msg);
+    EXPECT_THROW(task.runBand({0, k + 1, 0, 1}), std::invalid_argument);
+    EXPECT_THROW(task.runBand({0, k, 1, d + 1}), std::invalid_argument);
+    for (const Plan &bad : {Plan{{0, k, 0, 1}},            // a gap
+                            Plan{{0, k, 0, 2}, {k, k, 1, d}}, // overlap
+                            Plan{{0, k - 1, 0, d}}}) {     // no FORS end
+        sphincs::SignTask t(ctx, kp.sk, msg);
+        for (const sphincs::SignBand &band : bad)
+            t.runBand(band);
+        EXPECT_THROW(t.joinBands(bad), std::invalid_argument);
+        EXPECT_THROW(t.takeSignature(), std::logic_error);
+    }
+}
 
 // batch::LaneScheduler stays only for the serving benchmark; this is
 // the one test that still compiles it. A ragged group through its

@@ -219,6 +219,39 @@ TEST(Export, PrometheusOutputPassesFormatChecker)
               countOccurrences(prom, "_count{"));
 }
 
+// The lone-signature band counters add across a fabric merge and
+// render as counters in both formats.
+TEST(Export, BandCountersMergeAndRender)
+{
+    ServiceStats a, b;
+    a.signBanded = 5;
+    a.signBandsHelped = 9;
+    b.signBanded = 2;
+    b.signBandsHelped = 3;
+    const ServiceStats m = a.mergedWith(b);
+    EXPECT_EQ(m.signBanded, 7u);
+    EXPECT_EQ(m.signBandsHelped, 12u);
+
+    const std::string prom = StatsRegistry::exportPrometheus(m);
+    const auto check = telemetry::promCheck(prom);
+    EXPECT_TRUE(check.ok) << [&] {
+        std::string all;
+        for (const auto &e : check.errors)
+            all += e + "\n";
+        return all;
+    }();
+    EXPECT_NE(prom.find("# TYPE herosign_sign_banded_total counter\n"
+                        "herosign_sign_banded_total 7\n"),
+              std::string::npos);
+    EXPECT_NE(prom.find("# TYPE herosign_sign_bands_helped_total counter\n"
+                        "herosign_sign_bands_helped_total 12\n"),
+              std::string::npos);
+
+    const std::string json = StatsRegistry::exportJson(m);
+    EXPECT_NE(json.find("\"sign_banded\":7"), std::string::npos);
+    EXPECT_NE(json.find("\"sign_bands_helped\":12"), std::string::npos);
+}
+
 TEST(Export, PromCheckRejectsMalformedExposition)
 {
     // Sample without a TYPE declaration.
