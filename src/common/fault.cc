@@ -28,20 +28,23 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/**
+ * One or more decimal digits. std::stoull alone would also take a
+ * sign, and "-1" wraps to 2^64 - 1: every=-1 would never fire.
+ */
 uint64_t
 parseU64(const std::string &clause, const std::string &text)
 {
-    size_t used = 0;
-    uint64_t v = 0;
-    try {
-        v = std::stoull(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
+    if (!text.empty() &&
+        text.find_first_not_of("0123456789") == std::string::npos) {
+        try {
+            return std::stoull(text);
+        } catch (const std::out_of_range &) {
+            // Above 2^64 - 1: bad too.
+        }
     }
-    if (used != text.size())
-        throw std::invalid_argument("fault plan: bad number '" + text +
-                                    "' in clause '" + clause + "'");
-    return v;
+    throw std::invalid_argument("fault plan: bad number '" + text +
+                                "' in clause '" + clause + "'");
 }
 
 } // namespace

@@ -6,6 +6,18 @@
 namespace herosign::service
 {
 
+namespace
+{
+
+void
+require(bool ok, const std::string &id, const char *what)
+{
+    if (!ok)
+        throw std::invalid_argument("KeyStore: key '" + id + "': " + what);
+}
+
+} // namespace
+
 KeyRecord::~KeyRecord()
 {
     sk.zeroize();
@@ -14,7 +26,6 @@ KeyRecord::~KeyRecord()
 std::shared_ptr<const KeyRecord>
 KeyStore::insert(std::shared_ptr<KeyRecord> rec)
 {
-    rec->params.validate();
     std::lock_guard<std::mutex> lk(m_);
     auto [it, inserted] = keys_.emplace(rec->id, rec);
     if (!inserted)
@@ -26,6 +37,16 @@ KeyStore::insert(std::shared_ptr<KeyRecord> rec)
 std::shared_ptr<const KeyRecord>
 KeyStore::addKey(const std::string &id, const sphincs::KeyPair &kp)
 {
+    const sphincs::SecretKey &sk = kp.sk;
+    sk.params.validate();
+    const size_t n = sk.params.n;
+    require(sk.skSeed.size() == n && sk.skPrf.size() == n &&
+                sk.pkSeed.size() == n && sk.pkRoot.size() == n,
+            id, "every secret-key seed and root must be n bytes");
+    require(sk.params.sameShape(kp.pk.params) &&
+                sk.pkSeed == kp.pk.pkSeed && sk.pkRoot == kp.pk.pkRoot,
+            id, "public key does not match the secret key");
+
     auto rec = std::make_shared<KeyRecord>();
     rec->id = id;
     rec->params = kp.sk.params;
@@ -37,6 +58,11 @@ KeyStore::addKey(const std::string &id, const sphincs::KeyPair &kp)
 std::shared_ptr<const KeyRecord>
 KeyStore::addVerifyKey(const std::string &id, const sphincs::PublicKey &pk)
 {
+    pk.params.validate();
+    require(pk.pkSeed.size() == pk.params.n &&
+                pk.pkRoot.size() == pk.params.n,
+            id, "public seed and root must be n bytes");
+
     auto rec = std::make_shared<KeyRecord>();
     rec->id = id;
     rec->params = pk.params;

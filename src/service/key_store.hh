@@ -52,12 +52,20 @@ class KeyStore
   public:
     /**
      * Register a signing tenant.
-     * @throws std::invalid_argument when @p id is already present
+     * @throws std::invalid_argument when @p id is already present, the
+     *         parameters are invalid, a seed or root is not n bytes, or
+     *         the public key differs from the secret key's (shape,
+     *         pk_seed or pk_root)
      */
     std::shared_ptr<const KeyRecord> addKey(const std::string &id,
                                             const sphincs::KeyPair &kp);
 
-    /** Register a verify-only tenant (public key, no secrets). */
+    /**
+     * Register a verify-only tenant (public key, no secrets).
+     * @throws std::invalid_argument when @p id is already present, the
+     *         parameters are invalid, or pk_seed or pk_root is not n
+     *         bytes
+     */
     std::shared_ptr<const KeyRecord>
     addVerifyKey(const std::string &id, const sphincs::PublicKey &pk);
 

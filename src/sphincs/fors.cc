@@ -1,7 +1,6 @@
 #include "sphincs/fors.hh"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "sphincs/merkle.hh"
@@ -14,8 +13,13 @@ namespace herosign::sphincs
 namespace
 {
 
-/** Leaf positions per pooled forsTreeBatch() wave (bounds the slab). */
-constexpr uint32_t posChunk = maxHashLanes;
+/**
+ * Leaves per forsTreeBatch() chunk: it takes whole trees while their
+ * leaves fit, and a taller tree is a chunk of its own. This bounds the
+ * slab (128 KiB at n = 32, plus half that of scratch), so a group's
+ * G * k trees never need their leaves all at once.
+ */
+constexpr size_t chunkLeaves = 4096;
 
 } // namespace
 
@@ -87,117 +91,33 @@ forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
 }
 
 void
-forsTreeBatch(const Context &ctx, const ForsTreeReq reqs[], size_t count)
+forsTreeBatch(const Context &ctx, const TreeReq reqs[], size_t count)
 {
     const Params &p = ctx.params();
-    const unsigned n = p.n;
-    const unsigned a = p.forsHeight;
-    const uint32_t t = p.forsLeaves();
-    const unsigned width = hashLaneWidth();
+    const size_t n = p.n;
+    const size_t t = p.forsLeaves();
+    const size_t per_chunk = std::max<size_t>(1, chunkLeaves / t);
+    ByteVec slab(std::min(count, per_chunk) * t * n);
+    ByteVec scratch(slab.size() / 2);
+    ForsLeafReq wave[maxHashLanes];
 
-    TreehashStream streams[maxHashLanes];
-    TreehashStream *sptrs[maxHashLanes];
-    const ForsTreeReq *owner[maxHashLanes];
-    uint32_t first[maxHashLanes];
-    const uint8_t *leaf_ptrs[maxHashLanes];
-    uint8_t slab[posChunk * maxHashLanes * maxN];
-    ForsLeafReq leaves[posChunk * maxHashLanes];
-    // Per tree of a chunk: its subtree roots, then each level above
-    // them, alternating between the two buffers.
-    uint8_t level[2][maxHashLanes][maxHashLanes * maxN];
-    Address adrs[maxHashLanes];
-    uint8_t *outs[maxHashLanes];
-    const uint8_t *ins[maxHashLanes];
-
-    for (size_t c = 0; c < count; c += width) {
-        const ForsTreeReq *chunk = reqs + c;
-        const unsigned m =
-            static_cast<unsigned>(std::min<size_t>(width, count - c));
-        // A full chunk builds its width trees whole. A ragged tail
-        // would combine in narrow batches, so each of its trees splits
-        // into `parts` subtrees of height sub_h instead: width of
-        // them (m * width subtrees fill m lockstep groups exactly), or
-        // one per leaf when the tree has fewer leaves than width. Only
-        // the top levels above the subtrees run narrower.
-        const unsigned top =
-            m == width ? 0
-                       : std::min<unsigned>(std::countr_zero(width), a);
-        const unsigned sub_h = a - top;
-        const unsigned parts = 1u << top;
-        const uint32_t sub_leaves = 1u << sub_h;
-
-        // The subtrees, width at a time: leaf position q of every
-        // subtree in the group hashes in one wave, and each combine
-        // level above it runs as one batch across the group.
-        const unsigned units = m * parts;
-        for (unsigned u0 = 0; u0 < units; u0 += width) {
-            const unsigned g = std::min(width, units - u0);
-            for (unsigned j = 0; j < g; ++j) {
-                const ForsTreeReq &r = chunk[(u0 + j) / parts];
-                const uint32_t part = (u0 + j) % parts;
-                // Only the subtree holding the selected leaf owns the
-                // low part of its auth path.
-                const bool home = (r.leafIdx >> sub_h) == part;
-                owner[j] = &r;
-                first[j] = r.tree * t + part * sub_leaves;
-                streams[j].begin(ctx, sub_h, r.leafIdx & (sub_leaves - 1),
-                                 first[j], home ? r.authOut : nullptr,
-                                 r.adrs);
-                sptrs[j] = &streams[j];
-            }
-            for (uint32_t p0 = 0; p0 < sub_leaves; p0 += posChunk) {
-                const uint32_t pc =
-                    std::min<uint32_t>(posChunk, sub_leaves - p0);
-                unsigned nr = 0;
-                for (uint32_t q = 0; q < pc; ++q)
-                    for (unsigned j = 0; j < g; ++j, ++nr) {
-                        leaves[nr].adrs = owner[j]->adrs;
-                        leaves[nr].idx = first[j] + p0 + q;
-                        leaves[nr].out =
-                            slab + static_cast<size_t>(nr) * n;
-                    }
-                forsLeafBatch(ctx, leaves, nr);
-                for (uint32_t q = 0; q < pc; ++q) {
-                    for (unsigned j = 0; j < g; ++j)
-                        leaf_ptrs[j] =
-                            slab + static_cast<size_t>(q * g + j) * n;
-                    TreehashStream::absorbLockstep(sptrs, leaf_ptrs, g);
-                }
-            }
-            for (unsigned j = 0; j < g; ++j)
-                std::memcpy(level[0][(u0 + j) / parts] +
-                                ((u0 + j) % parts) * n,
-                            streams[j].root(), n);
-        }
-
-        // The top levels of the chunk's trees, one level at a time:
-        // every combine of a level, across all m trees, fills the
-        // batches.
-        unsigned cur = 0;
-        for (unsigned h = sub_h; h < a; ++h, cur ^= 1) {
-            const uint32_t pairs = 1u << (a - h - 1);
-            unsigned nb = 0;
+    for (size_t c = 0; c < count; c += per_chunk) {
+        const size_t leaves = std::min(per_chunk, count - c) * t;
+        // Leaf q of the chunk is leaf q % t of tree q / t, at node q of
+        // the slab: the packed layout treeLevels() reads.
+        for (size_t q0 = 0; q0 < leaves; q0 += maxHashLanes) {
+            const unsigned m = static_cast<unsigned>(
+                std::min<size_t>(maxHashLanes, leaves - q0));
             for (unsigned j = 0; j < m; ++j) {
-                const ForsTreeReq &r = chunk[j];
-                std::memcpy(r.authOut + h * n,
-                            level[cur][j] + ((r.leafIdx >> h) ^ 1u) * n, n);
-                for (uint32_t i = 0; i < pairs; ++i) {
-                    adrs[nb] = r.adrs;
-                    adrs[nb].setTreeHeight(h + 1);
-                    adrs[nb].setTreeIndex(((r.tree * t) >> (h + 1)) + i);
-                    ins[nb] = level[cur][j] + 2 * i * n;
-                    outs[nb] = level[cur ^ 1][j] + i * n;
-                    if (++nb == width) {
-                        thashX(outs, ctx, adrs, ins, 2 * n, nb);
-                        nb = 0;
-                    }
-                }
+                const size_t q = q0 + j;
+                const TreeReq &r = reqs[c + q / t];
+                wave[j].adrs = r.adrs;
+                wave[j].idx = r.idxOffset + static_cast<uint32_t>(q % t);
+                wave[j].out = &slab[q * n];
             }
-            if (nb > 0)
-                thashX(outs, ctx, adrs, ins, 2 * n, nb);
+            forsLeafBatch(ctx, wave, m);
         }
-        for (unsigned j = 0; j < m; ++j)
-            std::memcpy(chunk[j].rootOut, level[cur][j], n);
+        treeLevels(ctx, p.forsHeight, reqs + c, leaves / t, slab, scratch);
     }
 }
 
@@ -243,10 +163,10 @@ forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
     tree_adrs.setType(AddrType::ForsTree);
     tree_adrs.setKeypair(fors_adrs.keypair());
     uint8_t roots[64 * maxN];
-    ForsTreeReq trees[64];
+    TreeReq trees[64];
     for (unsigned i = 0; i < p.forsTrees; ++i) {
         trees[i].adrs = tree_adrs;
-        trees[i].tree = i;
+        trees[i].idxOffset = i * p.forsLeaves();
         trees[i].leafIdx = indices[i];
         trees[i].authOut = sig + i * sig_stride + n;
         trees[i].rootOut = roots + i * n;

@@ -12,6 +12,7 @@
 #include "common/bytes.hh"
 #include "sphincs/address.hh"
 #include "sphincs/context.hh"
+#include "sphincs/merkle.hh"
 
 namespace herosign::sphincs
 {
@@ -59,36 +60,19 @@ void forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
                    unsigned count);
 
 /**
- * One FORS tree of pooled tree-building work: tree @p tree (0..k-1)
- * of the forest addressed by @p adrs, whose root lands in @p rootOut
- * and the authentication path of local leaf @p leafIdx in
- * @p authOut.
- */
-struct ForsTreeReq
-{
-    Address adrs;               ///< ForsTree-typed, layer/tree/keypair set
-    unsigned tree = 0;          ///< FORS tree index i (leaves at i * t)
-    uint32_t leafIdx = 0;       ///< authenticated leaf, local index
-    uint8_t *authOut = nullptr; ///< a * n bytes
-    uint8_t *rootOut = nullptr; ///< n bytes
-};
-
-/**
  * Build @p count independent FORS trees (HERO-Sign's Tree Fusion,
  * paper §III-B). The trees may come from one signature or from many
- * signatures under @p ctx. They are built in lockstep groups of
- * exactly hashLaneWidth() trees: each group's leaves are pooled by
- * position through forsLeafBatch(), and every node-combine level is
- * one full-width thashX batch (TreehashStream::absorbLockstep).
- * Exact-width groups matter because the lane kernels only take whole
- * 16- or 8-lane chunks: a 15-tree group would run 8 lanes on AVX2 and
- * 7 lanes scalar. The m < width trees left over at the end are split
- * into width subtrees each, which again form m full groups; only the
- * top log2(width) levels of those m trees combine in narrower
- * batches. Roots, auth paths and the Sha256::compressionCount() total
- * are the same at every width and grouping.
+ * signatures under @p ctx; each request's ForsTree-typed address has
+ * layer/tree/keypair set, and leaf i of a tree is the forsLeafBatch()
+ * leaf at absolute index idxOffset + i. The trees are taken in chunks
+ * of whole trees bounded by a leaf count (fors.cc): a chunk's leaves
+ * hash in pooled lane waves into one slab, then one treeLevels() call
+ * reduces the chunk level by level, each level's combines across all
+ * of its trees filling the lane batches. Roots, auth paths and the
+ * Sha256::compressionCount() total are the same at every width and
+ * chunking.
  */
-void forsTreeBatch(const Context &ctx, const ForsTreeReq reqs[],
+void forsTreeBatch(const Context &ctx, const TreeReq reqs[],
                    size_t count);
 
 /**

@@ -10,112 +10,58 @@ namespace herosign::sphincs
 {
 
 void
-TreehashStream::begin(const Context &ctx, unsigned height,
-                      uint32_t leaf_idx, uint32_t idx_offset,
-                      uint8_t *auth_path, const Address &tree_adrs)
+treeLevels(const Context &ctx, unsigned height, const TreeReq trees[],
+           size_t count, MutByteSpan nodes, MutByteSpan scratch)
 {
-    if (height > maxHeight)
-        throw std::invalid_argument(
-            "TreehashStream: height exceeds bound");
-    ctx_ = &ctx;
-    adrs_ = tree_adrs;
-    auth_ = auth_path;
-    leafIdx_ = leaf_idx;
-    idxOffset_ = idx_offset;
-    next_ = 0;
-    total_ = 1u << height;
-    height_ = height;
-    sp_ = 0;
-}
+    const size_t n = ctx.params().n;
+    const size_t leaves = count << height;
+    if (nodes.size() < leaves * n || scratch.size() < leaves / 2 * n)
+        throw std::invalid_argument("treeLevels: node buffer too short");
+    for (size_t i = 0; i < count; ++i)
+        if (trees[i].leafIdx >> height)
+            throw std::invalid_argument("treeLevels: leaf outside its tree");
+    // Nodes g .. g + span - 1 of a level, as a checked view.
+    const auto at = [n](MutByteSpan level, size_t g, size_t span) {
+        return level.subspan(g * n, span * n).data();
+    };
 
-const uint8_t *
-TreehashStream::root() const
-{
-    if (next_ != total_)
-        throw std::logic_error(
-            "TreehashStream: root before all leaves absorbed");
-    return stack_;
-}
-
-void
-TreehashStream::absorbLockstep(TreehashStream *const streams[],
-                               const uint8_t *const leaves[],
-                               unsigned count)
-{
-    if (count == 0 || count > maxHashLanes)
-        throw std::invalid_argument(
-            "TreehashStream::absorbLockstep: count must be 1..16");
-    const TreehashStream &lead = *streams[0];
-    if (!lead.ctx_)
-        throw std::logic_error(
-            "TreehashStream: absorbLockstep before begin");
-    for (unsigned l = 1; l < count; ++l) {
-        if (streams[l]->ctx_ != lead.ctx_ ||
-            streams[l]->height_ != lead.height_ ||
-            streams[l]->next_ != lead.next_)
-            throw std::invalid_argument(
-                "TreehashStream::absorbLockstep: streams must share "
-                "context, height and absorbed count");
-    }
-
-    const unsigned n = lead.ctx_->params().n;
-    const uint32_t idx = lead.next_;
-    if (idx >= lead.total_)
-        throw std::invalid_argument(
-            "TreehashStream: absorbing past the leaf count");
-
-    // Per-stream current node plus the left||right pair scratch each
-    // batched combine hashes from.
-    uint8_t nodes[maxHashLanes][maxN];
-    uint8_t pairs[maxHashLanes][2 * maxN];
+    const unsigned width = hashLaneWidth();
     Address adrs[maxHashLanes];
     uint8_t *outs[maxHashLanes];
     const uint8_t *ins[maxHashLanes];
-    for (unsigned l = 0; l < count; ++l) {
-        std::memcpy(nodes[l], leaves[l], n);
-        TreehashStream &s = *streams[l];
-        if (s.auth_ && (s.leafIdx_ ^ 1u) == idx)
-            std::memcpy(s.auth_, nodes[l], n);
-        outs[l] = nodes[l];
-        ins[l] = pairs[l];
-    }
-
-    // Same-shape streams at the same position collapse identically,
-    // so the cascade depth is shared and each level is one batch.
-    unsigned node_height = 0;
-    while (lead.sp_ > 0 &&
-           lead.stackHeights_[lead.sp_ - 1] == node_height) {
-        for (unsigned l = 0; l < count; ++l) {
-            TreehashStream &s = *streams[l];
-            s.adrs_.setTreeHeight(node_height + 1);
-            s.adrs_.setTreeIndex((idx >> (node_height + 1)) +
-                                 (s.idxOffset_ >> (node_height + 1)));
-            adrs[l] = s.adrs_;
-            const uint8_t *left =
-                s.stack_ + static_cast<size_t>(s.sp_ - 1) * n;
-            std::memcpy(pairs[l], left, n);
-            std::memcpy(pairs[l] + n, nodes[l], n);
+    MutByteSpan cur = nodes;
+    MutByteSpan next = scratch;
+    for (unsigned h = 0; h < height; ++h) {
+        // Each tree has 2^shift nodes on the level being built.
+        const unsigned shift = height - h - 1;
+        for (size_t i = 0; i < count; ++i) {
+            const TreeReq &t = trees[i];
+            const size_t sibling =
+                (i << (shift + 1)) + ((t.leafIdx >> h) ^ 1u);
+            if (t.authOut)
+                std::memcpy(t.authOut + h * n, at(cur, sibling, 1), n);
         }
-        thashX(outs, *lead.ctx_, adrs, ins, 2 * static_cast<size_t>(n),
-               count);
-        ++node_height;
-        for (unsigned l = 0; l < count; ++l) {
-            TreehashStream &s = *streams[l];
-            --s.sp_;
-            if (s.auth_ && ((s.leafIdx_ >> node_height) ^ 1u) ==
-                               (idx >> node_height))
-                std::memcpy(s.auth_ + node_height * n, nodes[l], n);
+        const size_t combines = count << shift;
+        for (size_t g0 = 0; g0 < combines; g0 += width) {
+            const unsigned m = static_cast<unsigned>(
+                std::min<size_t>(width, combines - g0));
+            for (unsigned j = 0; j < m; ++j) {
+                const size_t g = g0 + j;
+                const TreeReq &t = trees[g >> shift];
+                adrs[j] = t.adrs;
+                adrs[j].setTreeHeight(h + 1);
+                adrs[j].setTreeIndex(
+                    (t.idxOffset >> (h + 1)) +
+                    static_cast<uint32_t>(g & ((size_t{1} << shift) - 1)));
+                ins[j] = at(cur, 2 * g, 2);
+                outs[j] = at(next, g, 1);
+            }
+            thashX(outs, ctx, adrs, ins, 2 * n, m);
         }
+        std::swap(cur, next);
     }
-
-    for (unsigned l = 0; l < count; ++l) {
-        TreehashStream &s = *streams[l];
-        std::memcpy(s.stack_ + static_cast<size_t>(s.sp_) * n, nodes[l],
-                    n);
-        s.stackHeights_[s.sp_] = node_height;
-        ++s.sp_;
-        ++s.next_;
-    }
+    for (size_t i = 0; i < count; ++i)
+        std::memcpy(trees[i].rootOut, at(cur, i, 1), n);
 }
 
 void
@@ -180,33 +126,27 @@ xmssTreehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
 {
     const Params &p = ctx.params();
     const unsigned n = p.n;
-
-    Address tree_adrs;
-    tree_adrs.setLayer(layer);
-    tree_adrs.setTree(tree);
-    tree_adrs.setType(AddrType::Tree);
-    TreehashStream stream;
-    stream.begin(ctx, p.treeHeight(), leaf_idx, 0, auth_path, tree_adrs);
-    TreehashStream *const streams[1] = {&stream};
-
-    uint8_t leaves[maxHashLanes * maxN];
-    WotsLeafReq reqs[maxHashLanes];
     const uint32_t total = p.treeLeaves();
-    for (uint32_t base = 0; base < total; base += maxHashLanes) {
-        const uint32_t m = std::min<uint32_t>(maxHashLanes, total - base);
-        for (uint32_t j = 0; j < m; ++j) {
-            reqs[j].layer = layer;
-            reqs[j].tree = tree;
-            reqs[j].keypair = base + j;
-            reqs[j].leafOut = leaves + static_cast<size_t>(j) * n;
-        }
-        wotsLeafBatch(ctx, reqs, m);
-        for (uint32_t j = 0; j < m; ++j) {
-            const uint8_t *leaf = reqs[j].leafOut;
-            TreehashStream::absorbLockstep(streams, &leaf, 1);
-        }
+    ByteVec nodes(static_cast<size_t>(total) * n);
+    ByteVec scratch(nodes.size() / 2);
+
+    std::vector<WotsLeafReq> reqs(total);
+    for (uint32_t j = 0; j < total; ++j) {
+        reqs[j].layer = layer;
+        reqs[j].tree = tree;
+        reqs[j].keypair = j;
+        reqs[j].leafOut = &nodes[static_cast<size_t>(j) * n];
     }
-    std::memcpy(root, stream.root(), n);
+    wotsLeafBatch(ctx, reqs.data(), total);
+
+    TreeReq req;
+    req.adrs.setLayer(layer);
+    req.adrs.setTree(tree);
+    req.adrs.setType(AddrType::Tree);
+    req.leafIdx = leaf_idx;
+    req.authOut = auth_path;
+    req.rootOut = root;
+    treeLevels(ctx, p.treeHeight(), &req, 1, nodes, scratch);
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * Merkle tree machinery shared by FORS and the hypertree (MSS): the
- * resumable stack-based treehash with authentication-path extraction,
- * the verification-side root reconstruction, and the MSS layer signing
+ * level-wise tree builder with authentication-path extraction, the
+ * verification-side root reconstruction, and the MSS layer signing
  * step (WOTS+ sign + auth path) of paper §II-A3/A4.
  */
 
@@ -17,75 +17,46 @@ namespace herosign::sphincs
 {
 
 /**
- * Incremental stack-based treehash over one Merkle tree: leaves are
- * absorbed in index order, the root and the authentication path for
- * one leaf fall out once all 2^height leaves have been absorbed. It is
- * the only Merkle tree builder on the signing side: forsTreeBatch(),
- * SignTask::runGroup()'s hypertree layers and xmssTreehash() all
- * feed streams the leaves an external pool hashed.
- *
- * Leaves enter through absorbLockstep(), one per stream per call.
- * Same-shape trees at the same leaf position have identical stack
- * states, so every combine triggered by one absorbed leaf runs as one
- * lane-batched thashX call across the group; a lone stream is a group
- * of one.
+ * One tree of a treeLevels() call: its hash address, where its leaves
+ * sit in the index space, the leaf it authenticates and where its
+ * root and auth path go. Leaf i of the tree has absolute index
+ * idxOffset + i: 0 for a hypertree subtree, tree * t for FORS tree
+ * `tree` of a forest.
  */
-class TreehashStream
+struct TreeReq
 {
-  public:
-    /** Largest tree height a stream can hold. */
-    static constexpr unsigned maxHeight =
-        maxTreeHeight > maxForsHeight ? maxTreeHeight : maxForsHeight;
-
-    TreehashStream() = default;
-
-    /**
-     * Arm the stream for one tree. Absorbed-leaf state resets.
-     * @param ctx hashing context (must outlive the stream's use)
-     * @param height tree height (at most maxHeight)
-     * @param leaf_idx leaf whose auth path to extract (local index)
-     * @param idx_offset added to node indices in the hash addresses
-     * @param auth_path out, height * n bytes (nullptr to skip)
-     * @param tree_adrs address with layer/tree/type set
-     */
-    void begin(const Context &ctx, unsigned height, uint32_t leaf_idx,
-               uint32_t idx_offset, uint8_t *auth_path,
-               const Address &tree_adrs);
-
-    /**
-     * The n-byte root, once all 2^height leaves have been absorbed.
-     * @throws std::logic_error before that
-     */
-    const uint8_t *root() const;
-
-    /**
-     * Absorb one leaf into each of @p count same-shape streams in
-     * lockstep, running each collapse level as one thashX batch
-     * across the group. All streams must share one Context and have
-     * equal height and absorbed count (checked, throws
-     * std::invalid_argument); the bytes do not depend on how streams
-     * are grouped.
-     * @param leaves count pointers to n-byte leaves (leaves[l] feeds
-     *        streams[l])
-     * @param count 1..maxHashLanes streams
-     */
-    static void absorbLockstep(TreehashStream *const streams[],
-                               const uint8_t *const leaves[],
-                               unsigned count);
-
-  private:
-    const Context *ctx_ = nullptr;
-    Address adrs_;
-    uint8_t *auth_ = nullptr;
-    uint32_t leafIdx_ = 0;
-    uint32_t idxOffset_ = 0;
-    uint32_t next_ = 0;
-    uint32_t total_ = 0;
-    unsigned height_ = 0;
-    unsigned sp_ = 0;
-    uint8_t stack_[(maxHeight + 1) * maxN];
-    unsigned stackHeights_[maxHeight + 1];
+    Address adrs;               ///< Tree- or ForsTree-typed, layer/tree
+                                ///< (and FORS keypair) set
+    uint32_t idxOffset = 0;     ///< absolute index of leaf 0
+    uint32_t leafIdx = 0;       ///< authenticated leaf, local index
+    uint8_t *authOut = nullptr; ///< height * n bytes (nullptr to skip)
+    uint8_t *rootOut = nullptr; ///< n bytes
 };
+
+/**
+ * Reduce @p count same-height Merkle trees to their roots level by
+ * level, the CPU form of HERO-Sign's Tree Fusion (paper §III-B) with
+ * one sync point per level. It is the only Merkle tree builder on the
+ * signing side: forsTreeBatch(), SignTask's hypertree layers and
+ * xmssTreehash() hash the leaves into @p nodes and call it.
+ *
+ * Every level is one packed array, tree i's nodes after tree i - 1's,
+ * so node g of the next level hashes nodes 2g and 2g + 1 straight from
+ * the current one, and a level's combines across all trees run in
+ * thashX batches of hashLaneWidth(). Each tree's auth-path sibling on
+ * a level is copied out before that level is combined. Levels
+ * alternate between @p scratch and @p nodes, so both are clobbered.
+ * The bytes and the Sha256::compressionCount() total are the same at
+ * every lane width and tree count.
+ *
+ * @param height tree height (Params::validate() bounds it)
+ * @param nodes count * 2^height * n bytes: the leaves, tree by tree
+ * @param scratch count * 2^(height - 1) * n bytes
+ * @throws std::invalid_argument when a buffer is shorter than that,
+ *         or a tree's leafIdx is not below 2^height
+ */
+void treeLevels(const Context &ctx, unsigned height, const TreeReq trees[],
+                size_t count, MutByteSpan nodes, MutByteSpan scratch);
 
 /**
  * Batched root reconstruction: up to maxHashLanes independent
@@ -118,9 +89,8 @@ void wotsGenLeaf(uint8_t *leaf_out, const Context &ctx, uint32_t layer,
 /**
  * Build hypertree subtree (@p layer, @p tree): its root and the
  * authentication path of keypair @p leaf_idx. The leaves come from
- * wotsLeafBatch() in waves of maxHashLanes and feed one
- * TreehashStream. Keygen's root and merkleSign()'s tree are built
- * here.
+ * one wotsLeafBatch() call, then one treeLevels() call builds the
+ * tree. Keygen's root and merkleSign()'s tree are built here.
  * @param auth_path out, treeHeight * n bytes (nullptr to skip)
  */
 void xmssTreehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,

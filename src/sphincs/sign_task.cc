@@ -152,13 +152,13 @@ SignTask::xmssSig(unsigned layer)
            layer * p.xmssSigBytes();
 }
 
-ForsTreeReq
+TreeReq
 SignTask::forsTreeReq(unsigned tree)
 {
     const Params &p = ctx_->params();
-    ForsTreeReq req;
+    TreeReq req;
     req.adrs = forsBase_;
-    req.tree = tree;
+    req.idxOffset = tree * p.forsLeaves();
     req.leafIdx = forsIndices_[tree];
     req.authOut = forsSigBlock(tree) + p.n;
     req.rootOut = forsRoots_ + static_cast<size_t>(tree) * p.n;
@@ -206,21 +206,13 @@ SignTask::walkLayers(SignTask *const tasks[], unsigned count,
     const unsigned len = p.wotsLen();
     const uint32_t leaves = p.treeLeaves();
 
-    // Per-signature walk state: a Merkle stream, the layer's leaves
-    // and the signing keypair's chain lengths.
-    std::vector<TreehashStream> streams(count);
+    // Per layer: every signature's leaves, packed tree by tree for
+    // treeLevels(), and each signing keypair's chain lengths.
     ByteVec leaf_buf(static_cast<size_t>(count) * leaves * n);
+    ByteVec scratch(leaf_buf.size() / 2);
     std::vector<uint32_t> lengths(static_cast<size_t>(count) * len);
-    TreehashStream *stream_ptrs[maxHashLanes];
-    const uint8_t *leaf_ptrs[maxHashLanes];
-    for (unsigned g = 0; g < count; ++g)
-        stream_ptrs[g] = &streams[g];
-    const auto leaf = [&](unsigned g, uint32_t j) {
-        return leaf_buf.data() + (static_cast<size_t>(g) * leaves + j) * n;
-    };
-    std::vector<WotsLeafReq> wreqs(
-        static_cast<size_t>(std::min<uint32_t>(maxHashLanes, leaves)) *
-        count);
+    std::vector<WotsLeafReq> wreqs(static_cast<size_t>(count) * leaves);
+    TreeReq trees[maxHashLanes];
 
     for (unsigned l = begin; l < end; ++l) {
         // A layer's chain lengths come from the message below it (the
@@ -233,46 +225,38 @@ SignTask::walkLayers(SignTask *const tasks[], unsigned count,
             if (sign)
                 chainLengths(&lengths[static_cast<size_t>(g) * len], p,
                              t.layerMsg(l));
-            Address tree_adrs;
-            tree_adrs.setLayer(l);
-            tree_adrs.setTree(t.layerTree_[l]);
-            tree_adrs.setType(AddrType::Tree);
-            streams[g].begin(ctx, p.treeHeight(), t.layerLeaf_[l], 0,
-                             t.xmssSig(l) + p.wotsSigBytes(), tree_adrs);
+            TreeReq &tree = trees[g];
+            tree = TreeReq{};
+            tree.adrs.setLayer(l);
+            tree.adrs.setTree(t.layerTree_[l]);
+            tree.adrs.setType(AddrType::Tree);
+            tree.leafIdx = t.layerLeaf_[l];
+            tree.authOut = t.xmssSig(l) + p.wotsSigBytes();
+            tree.rootOut = &t.layerRoots_[static_cast<size_t>(l) * n];
         }
-        for (uint32_t j0 = 0; j0 < leaves; j0 += maxHashLanes) {
-            const uint32_t jc =
-                std::min<uint32_t>(maxHashLanes, leaves - j0);
-            unsigned nr = 0;
-            for (uint32_t q = 0; q < jc; ++q) {
-                for (unsigned g = 0; g < count; ++g) {
-                    SignTask &t = *tasks[g];
-                    WotsLeafReq &req = wreqs[nr++];
-                    req = WotsLeafReq{};
-                    req.layer = l;
-                    req.tree = t.layerTree_[l];
-                    req.keypair = j0 + q;
-                    req.leafOut = leaf(g, j0 + q);
-                    // The signing keypair captures its signature from
-                    // the pk-generation walk.
-                    if (sign && j0 + q == t.layerLeaf_[l]) {
-                        req.sigOut = t.xmssSig(l);
-                        req.lengths = &lengths[static_cast<size_t>(g) * len];
-                    }
+        // Leaf position j of every signature side by side, so the
+        // chain batches span the group.
+        unsigned nr = 0;
+        for (uint32_t j = 0; j < leaves; ++j) {
+            for (unsigned g = 0; g < count; ++g) {
+                SignTask &t = *tasks[g];
+                WotsLeafReq &req = wreqs[nr++];
+                req = WotsLeafReq{};
+                req.layer = l;
+                req.tree = t.layerTree_[l];
+                req.keypair = j;
+                req.leafOut =
+                    &leaf_buf[(static_cast<size_t>(g) * leaves + j) * n];
+                // The signing keypair captures its signature from the
+                // pk-generation walk.
+                if (sign && j == t.layerLeaf_[l]) {
+                    req.sigOut = t.xmssSig(l);
+                    req.lengths = &lengths[static_cast<size_t>(g) * len];
                 }
             }
-            wotsLeafBatch(ctx, wreqs.data(), nr);
-            for (uint32_t q = 0; q < jc; ++q) {
-                for (unsigned g = 0; g < count; ++g)
-                    leaf_ptrs[g] = leaf(g, j0 + q);
-                TreehashStream::absorbLockstep(stream_ptrs, leaf_ptrs,
-                                               count);
-            }
         }
-        for (unsigned g = 0; g < count; ++g)
-            std::memcpy(tasks[g]->layerRoots_.data() +
-                            static_cast<size_t>(l) * n,
-                        streams[g].root(), n);
+        wotsLeafBatch(ctx, wreqs.data(), nr);
+        treeLevels(ctx, p.treeHeight(), trees, count, leaf_buf, scratch);
     }
 }
 
@@ -299,9 +283,9 @@ SignTask::runGroup(SignTask *const tasks[], unsigned count)
     const Params &p = ctx.params();
 
     // --- FORS: all count * k trees are independent, so they build
-    // together in full lane groups.
+    // together, their levels filling the lane batches.
     const unsigned k = p.forsTrees;
-    std::vector<ForsTreeReq> trees(static_cast<size_t>(count) * k);
+    std::vector<TreeReq> trees(static_cast<size_t>(count) * k);
     for (unsigned g = 0; g < count; ++g)
         for (unsigned i = 0; i < k; ++i)
             trees[static_cast<size_t>(g) * k + i] =
@@ -407,7 +391,7 @@ SignTask::runBand(const SignBand &band)
             "SignTask: band outside the parameter shape");
 
     if (band.forsEnd > band.forsBegin) {
-        std::vector<ForsTreeReq> trees;
+        std::vector<TreeReq> trees;
         for (unsigned i = band.forsBegin; i < band.forsEnd; ++i)
             trees.push_back(forsTreeReq(i));
         forsTreeBatch(*ctx_, trees.data(), trees.size());

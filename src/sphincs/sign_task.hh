@@ -8,21 +8,22 @@
  * (the -f sets have 2^(h/d) = 8..16 WOTS leaves per layer), one
  * signature alone cannot keep the lane engine fed across a layer. A
  * SignTask therefore holds its remaining hash work as descriptors —
- * one sphincs::ForsTreeReq per FORS tree, one sphincs::WotsLeafReq per
- * hypertree leaf, a Merkle stream (sphincs::TreehashStream) per layer
- * — and runGroup() aggregates the descriptors of one or *several*
- * in-flight signatures into full lane batches: it builds every FORS
- * tree of the group through forsTreeBatch(), then walks the d
- * hypertree layers in lockstep.
+ * one sphincs::TreeReq per FORS tree and per hypertree layer, one
+ * sphincs::WotsLeafReq per hypertree leaf — and runGroup() aggregates
+ * the descriptors of one or *several* in-flight signatures into full
+ * lane batches: it builds every FORS tree of the group through
+ * forsTreeBatch(), then walks the d hypertree layers in lockstep, each
+ * layer's leaves in one wotsLeafBatch() call and its trees in one
+ * treeLevels() call.
  *
  * Two structural wins fall out of the step-wise form, for groups of
  * one as much as for larger ones:
  *  - the signing keypair's WOTS+ signature is captured from its
  *    pk-generation chain walk (sig chain values are prefixes of the
  *    full chains), so there is no separate wotsSign() walk;
- *  - node combines run lane-batched across same-shape trees (the k
- *    FORS trees, and each layer's tree across the group) instead of
- *    one at a time.
+ *  - node combines run level by level, lane-batched across same-shape
+ *    trees (the k FORS trees, and each layer's tree across the group)
+ *    instead of one at a time.
  *
  * Only a layer's WOTS+ message (the root below it) ties it to the
  * layer below: its tree does not depend on it. So a lone signature can
@@ -102,9 +103,9 @@ class SignTask
 
     /**
      * Run @p count tasks (1..maxHashLanes) to completion: every FORS
-     * tree of the group in full lane groups, then layer by layer in
-     * lockstep, every hash pooled across the group. All tasks must
-     * share one Context object.
+     * tree of the group in one forsTreeBatch() call, then layer by
+     * layer in lockstep, every hash pooled across the group. All
+     * tasks must share one Context object.
      * @throws std::invalid_argument on a mixed or oversized group
      */
     static void runGroup(SignTask *const tasks[], unsigned count);
@@ -159,10 +160,10 @@ class SignTask
     /**
      * Walk layers [begin, end) of @p count tasks in lockstep: each
      * layer's count * 2^(h/d) WOTS leaves pool into full chain
-     * batches, maxHashLanes leaf positions per wave, and the Merkle
-     * combines run lane-batched across the group. Every layer's
-     * signing keypair captures its WOTS+ signature in passing, except
-     * layer @p begin's when @p sign_first is false.
+     * batches, and one treeLevels() call builds the layer's count
+     * trees. Every layer's signing keypair captures its WOTS+
+     * signature in passing, except layer @p begin's when
+     * @p sign_first is false.
      */
     static void walkLayers(SignTask *const tasks[], unsigned count,
                            unsigned begin, unsigned end, bool sign_first);
@@ -172,7 +173,7 @@ class SignTask
      * forsTreeBatch(): its auth path lands in the signature, its root
      * in the task.
      */
-    ForsTreeReq forsTreeReq(unsigned tree);
+    TreeReq forsTreeReq(unsigned tree);
 
     /**
      * Compress the k roots into the FORS public key (layer-0 message)

@@ -65,10 +65,12 @@ TEST(LaneSchedulerTest, GroupsMatchOracleOnAllSetsWidthsAndSizes)
             ScopedWidth w(width);
             // Ragged sizes on purpose: 3, 5 and 15 divide neither 8
             // nor 16, so partial lane groups and tail chains exercise
-            // the fallback kernels. The group * k FORS trees build in
-            // full lane groups plus a tail split into subtrees: at
-            // 128f, group 2 gives 66 trees (four 16-tree groups and a
-            // 2-tree tail); 15 is a typical batch-burst group.
+            // the fallback kernels. The group * k FORS trees reduce
+            // level by level, so levels with fewer combines than the
+            // width run partial batches: at 128f, group 2 gives 66
+            // trees, a 64-tree chunk and a 2-tree one whose top three
+            // levels run 8, 4 and 2 lanes; 15 is a typical
+            // batch-burst group.
             for (unsigned group : {1u, 2u, 3u, 5u, 15u, 16u}) {
                 std::vector<ByteSpan> msg_spans, rand_spans;
                 for (unsigned i = 0; i < group; ++i) {
@@ -184,8 +186,8 @@ TEST(LaneSchedulerTest, EveryGroupSizeOnMiniParams)
 {
     // Every group size up to a full maxHashLanes on the cheap set, at
     // every width, checked against the spec oracle. Its 8 FORS trees
-    // of 16 leaves make some groups end in a ragged tree tail, split
-    // down to single-leaf subtrees at width 16.
+    // of 16 leaves per signature give a group of G a top FORS level
+    // of 8G combines, a partial batch at width 16 when G is odd.
     const Params p = miniParams();
     SphincsPlus scheme(p);
     const auto kp = scheme.keygenFromSeed(fixedSeed(p));

@@ -109,6 +109,15 @@ TEST_F(FaultPlanTest, TyposFailLoudly)
                  std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("simd-lane:every=5x"),
                  std::invalid_argument);
+    // A sign is a typo too: every=-1 would wrap to 2^64 - 1 and never
+    // fire.
+    EXPECT_THROW(FaultPlan::parse("worker-throw:every=-1"),
+                 std::invalid_argument);
+    EXPECT_THROW(FaultPlan::parse("queue-stall:ms=-5"),
+                 std::invalid_argument);
+    EXPECT_THROW(FaultPlan::parse("seed=-1"), std::invalid_argument);
+    // So is a missing number, which read as 0.
+    EXPECT_THROW(FaultPlan::parse("queue-stall:ms="), std::invalid_argument);
 }
 
 TEST_F(FaultScheduleTest, StartEveryMaxScheduleIsExact)

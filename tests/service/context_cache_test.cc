@@ -65,6 +65,47 @@ TEST(KeyStore, AddFindRemove)
     EXPECT_EQ(rec->pk.pkRoot, kp.pk.pkRoot);
 }
 
+TEST(KeyStore, RejectsInconsistentKeyMaterial)
+{
+    // A key whose parts disagree would register, then fail every
+    // signature it makes; with verifyAfterSign each failure
+    // quarantines a lane tier for the whole process.
+    const auto p = miniParams();
+    const sphincs::KeyPair good = makeKeyPair(p, 1);
+    const auto rejected = [&](auto &&tamper) {
+        sphincs::KeyPair kp = good;
+        tamper(kp);
+        KeyStore store;
+        EXPECT_THROW(store.addKey("k", kp), std::invalid_argument);
+        EXPECT_EQ(store.find("k"), nullptr);
+    };
+    rejected([](sphincs::KeyPair &kp) { kp.sk.pkRoot.pop_back(); });
+    rejected([](sphincs::KeyPair &kp) { kp.sk.skSeed.pop_back(); });
+    rejected([](sphincs::KeyPair &kp) { kp.sk.skPrf.push_back(0); });
+    rejected([](sphincs::KeyPair &kp) {
+        kp.sk.pkSeed.pop_back();
+        kp.pk.pkSeed.pop_back();
+    });
+    rejected([](sphincs::KeyPair &kp) { kp.pk.pkSeed[0] ^= 1; });
+    rejected([](sphincs::KeyPair &kp) { kp.pk.pkRoot[0] ^= 1; });
+    rejected([](sphincs::KeyPair &kp) { kp.pk.params.forsTrees += 1; });
+
+    const auto rejected_pk = [&](auto &&tamper) {
+        sphincs::PublicKey pk = good.pk;
+        tamper(pk);
+        KeyStore store;
+        EXPECT_THROW(store.addVerifyKey("v", pk), std::invalid_argument);
+        EXPECT_EQ(store.find("v"), nullptr);
+    };
+    rejected_pk([](sphincs::PublicKey &pk) { pk.pkRoot.pop_back(); });
+    rejected_pk([](sphincs::PublicKey &pk) { pk.pkSeed.push_back(0); });
+
+    // The untampered key still registers both ways.
+    KeyStore store;
+    EXPECT_NE(store.addKey("k", good), nullptr);
+    EXPECT_NE(store.addVerifyKey("v", good.pk), nullptr);
+}
+
 TEST(ContextCache, HitsMissesAndSharing)
 {
     const auto p = miniParams();

@@ -194,6 +194,14 @@ TEST(ForsFusion, FusedSignMatchesOracleAtEveryWidth)
     small.forsTrees = 5;
     small.wotsW = 16;
     small.validate();
+    // 13 trees of 1,024 leaves hold more leaves than one
+    // forsTreeBatch() chunk, so the forest builds in several.
+    Params tall = small;
+    tall.name = "fors-a10";
+    tall.n = 16;
+    tall.forsHeight = 10;
+    tall.forsTrees = 13;
+    tall.validate();
 
     struct Case
     {
@@ -205,6 +213,7 @@ TEST(ForsFusion, FusedSignMatchesOracleAtEveryWidth)
         {&Params::sphincs192f(), 33772},
         {&Params::sphincs256f(), 71663},
         {&small, 0},
+        {&tall, 39940},
     };
     for (const Case &c : cases) {
         const Params &p = *c.p;
